@@ -5,13 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "alloc/slice_alloc.hpp"
 #include "analysis/range_analysis.hpp"
+#include "api/engine.hpp"
+#include "api/json.hpp"
 #include "ir/parser.hpp"
 #include "sim/cache.hpp"
 #include "sim/gpu.hpp"
 #include "sim/occupancy.hpp"
 #include "testing_util.hpp"
+#include "workloads/pipeline.hpp"
+#include "workloads/workload.hpp"
 
 namespace gpurf::sim {
 namespace {
@@ -478,6 +485,128 @@ TEST(Simulate, RejectsOversizedKernel) {
   EXPECT_THROW(simulate(GpuConfig::fermi_gtx480(),
                         CompressionConfig::baseline(), rig.spec),
                gpurf::Error);
+}
+
+// ------------------------------------------------------ absolute goldens
+//
+// The sharded suites above compare two schedules inside one binary, so a
+// timing-model drift that moves the serial and sharded runs alike passes
+// them.  These pins fix every field of SimResult (occupancy, every
+// SimStats counter, the fault and soft reports) for sample-scale launches
+// as an FNV-1a digest of api::to_json(SimResult).  A deliberate
+// timing-model change must update the digests; the failure message
+// prints the new digest and the JSON it was taken over.
+
+namespace wl = gpurf::workloads;
+
+std::string golden_digest(const SimResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : gpurf::api::to_json(r)) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+void expect_golden(const SimResult& r, const char* digest,
+                   const std::string& what) {
+  EXPECT_EQ(golden_digest(r), digest)
+      << what << ": " << gpurf::api::to_json(r);
+}
+
+TEST(SimGolden, OriginalPressureLaunches) {
+  // No tuning: the launch runs at the original register pressure, under
+  // both the baseline pipeline and the compressed pipeline's extra stages
+  // (no allocation).  Hotspot covers barrier stalls, GICOV texture traffic.
+  struct Case {
+    const char* workload;
+    bool compressed;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"DWT2D", false, "0xfb9965874c9b318b"},
+      {"DWT2D", true, "0xec1e88557577f03b"},
+      {"Hotspot", false, "0x3babb2a3ac6c12d5"},
+      {"Hotspot", true, "0x8c77bc6cf41793b5"},
+      {"GICOV", false, "0xec545061fe164cd7"},
+      {"GICOV", true, "0x988a335137a17e0e"},
+  };
+  for (const Case& c : cases) {
+    std::unique_ptr<wl::Workload> w;
+    for (auto& cand : wl::make_all_workloads())
+      if (cand->spec().name == c.workload) w = std::move(cand);
+    ASSERT_TRUE(w) << c.workload;
+    wl::PipelineResult pr;
+    pr.pressure.original = gpurf::alloc::allocate_slices(
+                               w->kernel(), nullptr, nullptr, {false, false})
+                               .num_physical_regs;
+    auto inst = w->make_instance(wl::Scale::kSample, 0);
+    const auto spec =
+        wl::make_launch_spec(*w, inst, pr, wl::SimMode::kOriginal);
+    const auto res = simulate(GpuConfig::fermi_gtx480(),
+                              c.compressed ? CompressionConfig::paper_default()
+                                           : CompressionConfig::baseline(),
+                              spec);
+    expect_golden(res, c.digest,
+                  std::string(c.workload) +
+                      (c.compressed ? " compressed" : " baseline"));
+  }
+}
+
+TEST(SimGolden, EngineTunedFaultAndSoftLaunches) {
+  // Through the Engine with a freshly tuned pipeline (no disk cache, so a
+  // stale cache entry can never stand in for the tuner): original mode, a
+  // tuned split/narrow allocation, a fault map dense enough to both
+  // redirect and spill, and a soft-error run with exposure tracking.
+  // Each is pinned at the serial schedule and at two shards.
+  gpurf::testing::PoolWidth width(2);
+  gpurf::Engine engine(
+      gpurf::EngineOptions().with_threads(2).with_disk_cache(false));
+  gpurf::SimRequest orig;
+  orig.scale = wl::Scale::kSample;
+  gpurf::SimRequest high = orig;
+  high.mode = wl::SimMode::kCompressedHigh;
+  gpurf::SimRequest fault = high;
+  fault.fault.seed = 7;
+  fault.fault.density = 0.9;
+  gpurf::SimRequest soft = high;
+  soft.soft.flips_per_mcycle = 100000.0;
+  soft.soft.seed = 3;
+  soft.soft.track_exposure = true;
+
+  struct Case {
+    const char* what;
+    const gpurf::SimRequest* req;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"original", &orig, "0xfb9965874c9b318b"},
+      {"compressed-high", &high, "0xbd544c826ca90ea4"},
+      {"fault", &fault, "0x856fa44c4bdd8900"},
+      {"soft", &soft, "0x45e97d01b87a1ec6"},
+  };
+  for (const Case& c : cases) {
+    for (int shards : {1, 2}) {
+      gpurf::SimRequest req = *c.req;
+      req.sim_shards = shards;
+      auto res = engine.simulate("DWT2D", req);
+      ASSERT_TRUE(res.ok()) << c.what << ": " << res.status().to_string();
+      expect_golden(*res, c.digest,
+                    std::string(c.what) + " T=" + std::to_string(shards));
+      // Each case exercises the machinery it is named for.
+      if (c.req == &high) {
+        EXPECT_GT(res->stats.double_fetches, 0u);
+      } else if (c.req == &fault) {
+        EXPECT_GT(res->fault.registers_redirected, 0u);
+        EXPECT_GT(res->fault.registers_spilled, 0u);
+      } else if (c.req == &soft) {
+        EXPECT_GT(res->soft.flips_injected, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
