@@ -48,6 +48,12 @@ struct GpuConfig {
   /// Safety bound for runaway simulations.
   uint64_t max_cycles = 80'000'000;
 
+  /// Upper bounds sim::validate_launch_spec enforces on the fields above
+  /// (the simulator sizes its per-SM scratch statically).
+  static constexpr uint32_t kMaxWarpSchedulers = 8;
+  static constexpr uint32_t kMaxRegisterBanks = 256;
+  static constexpr uint32_t kMaxCollectorUnits = 64;
+
   static GpuConfig fermi_gtx480() { return GpuConfig{}; }
 };
 

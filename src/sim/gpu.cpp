@@ -1,6 +1,7 @@
 #include "sim/gpu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <functional>
@@ -72,22 +73,27 @@ struct FetchReq {
   bool served = false;
 };
 
+/// Bank fetches of one instruction: at most three distinct register
+/// sources, each split into at most two pieces.
+constexpr int kMaxFetches = 6;
+
 struct CuEntry {
   bool valid = false;
   int warp = kNoIndex;
   exec::StepResult step;
   uint64_t active_from = 0;  ///< fetch requests visible from this cycle
   uint64_t alloc_cycle = 0;  ///< age for arbitration
-  std::vector<FetchReq> fetches;
+  std::array<FetchReq, kMaxFetches> fetches{};
+  uint8_t num_fetches = 0;
+  uint8_t unserved = 0;      ///< fetches not yet granted a bank read port
   uint32_t conversions_left = 0;
   bool ready_marked = false;
-  bool dispatch_tried = false;
 
-  bool fetches_done() const {
-    for (const auto& f : fetches)
-      if (!f.served) return false;
-    return true;
+  void add_fetch(uint32_t bank) {
+    fetches[num_fetches++] = FetchReq{static_cast<uint8_t>(bank), false};
+    ++unserved;
   }
+  bool fetches_done() const { return unserved == 0; }
 };
 
 struct WriteBack {
@@ -106,11 +112,13 @@ struct BlockCtx {
 struct WarpCtx {
   int block = kNoIndex;          ///< index into SmCore::blocks_
   uint32_t warp_in_block = 0;
-  uint32_t gwarp = 0;            ///< global id used for bank hashing
+  uint32_t gwarp = 0;            ///< bank-hash id; equals the warps_ index
   bool at_barrier = false;
   bool active = false;
+  /// The next instruction failed the scoreboard and no pending flag of
+  /// this warp has cleared since, so it would fail again.
+  bool sb_wait = false;
   std::vector<uint8_t> pending;  ///< scoreboard flags per register
-  uint64_t last_issued = 0;
 };
 
 class BlockDispatcher {
@@ -157,7 +165,6 @@ class SmCore {
         cc_(cc),
         spec_(spec),
         ctx_(base_ctx),
-        occ_(occ),
         soft_model_(soft_model),
         l1_(g.l1),
         tex_(g.tex) {
@@ -173,6 +180,7 @@ class SmCore {
         wc.pending.assign(spec.kernel->num_regs(), 0);
       }
     blocks_.resize(occ.blocks_per_sm);
+    greedy_warp_.fill(kNoIndex);
   }
 
   bool idle() const {
@@ -285,6 +293,7 @@ class SmCore {
         wc.block = static_cast<int>(slot);
         wc.active = true;
         wc.at_barrier = false;
+        wc.sb_wait = false;
         std::fill(wc.pending.begin(), wc.pending.end(), 0);
       }
     }
@@ -332,23 +341,23 @@ class SmCore {
       const WriteBack w = wb_.top();
       wb_.pop();
       warps_[w.warp].pending[w.reg] = 0;
+      warps_[w.warp].sb_wait = false;
     }
   }
 
   // ------------------------------------------------------------- dispatch
   void dispatch_ready(uint64_t now) {
     spu_used_ = 0;  // both SPUs accept one instruction per cycle
-    // Dispatch ready collector units, oldest first (selection sort over the
-    // small fixed-size CU array keeps this allocation-free).
-    for (;;) {
-      int c = kNoIndex;
-      for (int i = 0; i < int(cus_.size()); ++i)
-        if (cus_[i].valid && cus_[i].ready_marked && !cus_[i].dispatch_tried &&
-            (c == kNoIndex || cus_[i].alloc_cycle < cus_[c].alloc_cycle))
-          c = i;
-      if (c == kNoIndex) break;
-      cus_[c].dispatch_tried = true;
-      CuEntry& cu = cus_[c];
+    // Dispatch ready collector units oldest first; the CU index breaks
+    // ties, so equal ages go in index order.
+    int nready = 0;
+    for (int i = 0; i < int(cus_.size()); ++i)
+      if (cus_[i].valid && cus_[i].ready_marked)
+        ready_[nready++] = {cus_[i].alloc_cycle, i};
+    if (nready == 0) return;
+    std::sort(ready_.begin(), ready_.begin() + nready);
+    for (int k = 0; k < nready; ++k) {
+      CuEntry& cu = cus_[ready_[k].second];
       const ir::Instruction& in = *cu.step.inst;
       const UnitClass unit = in.info().unit;
       uint64_t done_at = 0;
@@ -380,32 +389,34 @@ class SmCore {
       }
       cu.valid = false;
     }
-    for (auto& cu : cus_) cu.dispatch_tried = false;
   }
 
   // ------------------------------------------------------- bank arbitration
   void arbitrate_banks(uint64_t now) {
     // One read port per bank: serve the oldest pending request per bank.
-    for (int bank = 0; bank < int(g_.register_banks); ++bank) {
-      int best = kNoIndex;
-      int best_fetch = kNoIndex;
-      for (int c = 0; c < int(cus_.size()); ++c) {
-        CuEntry& cu = cus_[c];
-        if (!cu.valid || cu.ready_marked || cu.active_from > now) continue;
-        for (int f = 0; f < int(cu.fetches.size()); ++f) {
-          if (cu.fetches[f].served || cu.fetches[f].bank != bank) continue;
-          if (best == kNoIndex ||
-              cu.alloc_cycle < cus_[best].alloc_cycle) {
-            best = c;
-            best_fetch = f;
-          }
-          break;
-        }
+    // One pass over the CUs in index order; the strict < keeps the lowest
+    // CU index among equal ages, and a CU's later fetch to a bank never
+    // displaces its own earlier one.
+    std::fill_n(grant_.begin(), g_.register_banks, BankGrant{});
+    for (int c = 0; c < int(cus_.size()); ++c) {
+      const CuEntry& cu = cus_[c];
+      if (!cu.valid || cu.ready_marked || cu.active_from > now ||
+          cu.fetches_done())
+        continue;
+      for (int f = 0; f < cu.num_fetches; ++f) {
+        if (cu.fetches[f].served) continue;
+        BankGrant& g = grant_[cu.fetches[f].bank];
+        if (g.cu == kNoIndex || cu.alloc_cycle < cus_[g.cu].alloc_cycle)
+          g = BankGrant{c, f};
       }
-      if (best != kNoIndex) {
-        cus_[best].fetches[best_fetch].served = true;
-        ++stats_.operand_fetches;
-      }
+    }
+    for (uint32_t bank = 0; bank < g_.register_banks; ++bank) {
+      const BankGrant& g = grant_[bank];
+      if (g.cu == kNoIndex) continue;
+      CuEntry& cu = cus_[g.cu];
+      cu.fetches[g.fetch].served = true;
+      --cu.unserved;
+      ++stats_.operand_fetches;
     }
     // Mark CUs whose fetches completed and need no conversion.
     for (auto& cu : cus_) {
@@ -434,71 +445,68 @@ class SmCore {
 
   // ------------------------------------------------------------------ issue
   void issue(uint64_t now) {
-    for (uint32_t sched = 0; sched < g_.warp_schedulers; ++sched) {
-      bool issued = false;
+    const int nsched = int(g_.warp_schedulers);
+    for (int sched = 0; sched < nsched; ++sched) {
       bool saw_scoreboard = false, saw_no_cu = false, saw_barrier = false;
-      // GTO: greedily retry the last-issued warp first, then oldest
-      // (arrival order).  -1 sentinel visits the greedy candidate once.
-      int& greedy = greedy_warp_[sched];
-      for (int idx = -1; idx < int(warps_.size()); ++idx) {
-        int w = idx;
-        if (idx == -1) {
-          if (greedy < 0) continue;
-          w = greedy;
-        } else if (w == greedy) {
-          continue;  // already tried as the greedy candidate
+      int free_cu = kNoIndex;  // lowest-index free collector unit
+      for (int c = 0; c < int(cus_.size()); ++c)
+        if (!cus_[c].valid) {
+          free_cu = c;
+          break;
         }
+      // GTO: greedily retry the last-issued warp first, then oldest
+      // (arrival order).  Scheduler `sched` owns the warps with
+      // gwarp % warp_schedulers == sched, i.e. every nsched-th slot.
+      int& greedy = greedy_warp_[sched];
+      const auto try_issue = [&](int w) {
         WarpCtx& wc = warps_[w];
-        if (!wc.active || (wc.gwarp % g_.warp_schedulers) != sched)
-          continue;
+        if (!wc.active) return false;
         if (wc.at_barrier) {
           saw_barrier = true;
-          continue;
+          return false;
+        }
+        if (wc.sb_wait) {
+          saw_scoreboard = true;
+          return false;
         }
         BlockCtx& blk = blocks_[wc.block];
-        // Predecoded view: the control classification comes from the shared
-        // decoded stream instead of being re-derived per issue attempt, and
-        // step() below executes the same instruction through the SoA warp
-        // kernels of the functional interpreter.
-        const exec::DecodedInst* dec = blk.exec->peek_decoded(wc.warp_in_block);
-        if (!dec) continue;
-        const ir::Instruction* in = dec->in;
-
-        if (!scoreboard_clear(wc, *in)) {
+        // Predecoded view: the control classification comes from the
+        // shared decoded stream instead of being re-derived per issue
+        // attempt, and step() below executes the same instruction through
+        // the SoA warp kernels of the functional interpreter.
+        const exec::DecodedInst* dec =
+            blk.exec->peek_decoded(wc.warp_in_block);
+        if (!dec) return false;
+        if (!scoreboard_clear(wc, *dec->in)) {
+          wc.sb_wait = true;
           saw_scoreboard = true;
-          continue;
+          return false;
         }
         const bool is_control = dec->is_control;
-        int cu_slot = kNoIndex;
-        if (!is_control) {
-          for (int c = 0; c < int(cus_.size()); ++c)
-            if (!cus_[c].valid) {
-              cu_slot = c;
-              break;
-            }
-          if (cu_slot == kNoIndex) {
-            saw_no_cu = true;
-            continue;
-          }
+        if (!is_control && free_cu == kNoIndex) {
+          saw_no_cu = true;
+          return false;
         }
 
         // Issue: functional execution happens now.
         const exec::StepResult step = blk.exec->step(wc.warp_in_block);
         ++stats_.warp_insts;
-        wc.last_issued = now;
         greedy = wc.active ? w : kNoIndex;
 
         if (is_control) {
           handle_control(w, step);
           if (!wc.active || wc.at_barrier) greedy = kNoIndex;
         } else {
-          allocate_cu(now, w, cu_slot, step);
+          allocate_cu(now, w, free_cu, step);
         }
-        issued = true;
-        break;
-      }
-      if (!issued) greedy = kNoIndex;
+        return true;
+      };
+      const int first = greedy;
+      bool issued = first != kNoIndex && try_issue(first);
+      for (int w = sched; !issued && w < int(warps_.size()); w += nsched)
+        if (w != first) issued = try_issue(w);
       if (!issued) {
+        greedy = kNoIndex;
         if (saw_scoreboard) ++stats_.stall_scoreboard;
         else if (saw_no_cu) ++stats_.stall_no_cu;
         else if (saw_barrier) ++stats_.stall_barrier;
@@ -577,15 +585,9 @@ class SmCore {
       if (cc_.enabled && spec_.allocation) {
         const auto& e = spec_.allocation->table[r];
         GPURF_ASSERT(e.valid, "operand without allocation");
-        cu.fetches.push_back(FetchReq{
-            static_cast<uint8_t>((e.r0.phys_reg + wc.gwarp) %
-                                 g_.register_banks),
-            false});
+        cu.add_fetch((e.r0.phys_reg + wc.gwarp) % g_.register_banks);
         if (e.split) {
-          cu.fetches.push_back(FetchReq{
-              static_cast<uint8_t>((e.r1.phys_reg + wc.gwarp) %
-                                   g_.register_banks),
-              false});
+          cu.add_fetch((e.r1.phys_reg + wc.gwarp) % g_.register_banks);
           ++stats_.double_fetches;
         }
         if (e.is_float && e.float_bits != 32 && !e.spilled)
@@ -599,9 +601,7 @@ class SmCore {
           fault_penalty = true;
         }
       } else {
-        cu.fetches.push_back(FetchReq{
-            static_cast<uint8_t>((r + wc.gwarp) % g_.register_banks),
-            false});
+        cu.add_fetch((r + wc.gwarp) % g_.register_banks);
       }
     }
 
@@ -644,16 +644,19 @@ class SmCore {
     if (in.op == Opcode::LD_SHARED || in.op == Opcode::ST_SHARED) {
       // 32 word-interleaved banks; conflict degree = max distinct words
       // mapped to one bank.
-      std::array<std::vector<uint32_t>, 32> per_bank;
+      std::array<uint32_t, 32> words{};
+      std::array<uint8_t, 32> per_bank{};
+      uint32_t nwords = 0;
+      uint32_t degree = 1;
       for (int l = 0; l < 32; ++l) {
         if (!((mask >> l) & 1u)) continue;
         const uint32_t a = cu.step.addr[l];
-        auto& v = per_bank[a % 32];
-        if (std::find(v.begin(), v.end(), a) == v.end()) v.push_back(a);
+        if (std::find(words.begin(), words.begin() + nwords, a) !=
+            words.begin() + nwords)
+          continue;
+        words[nwords++] = a;
+        degree = std::max<uint32_t>(degree, ++per_bank[a % 32]);
       }
-      uint32_t degree = 1;
-      for (const auto& v : per_bank)
-        degree = std::max<uint32_t>(degree, uint32_t(v.size()));
       return {degree, g_.lat_shared + (degree - 1), false};
     }
 
@@ -665,48 +668,32 @@ class SmCore {
       p.reg = in.dst;
     }
 
-    if (in.op == Opcode::TEX2D) {
-      std::vector<uint64_t> lines;
-      for (int l = 0; l < 32; ++l) {
-        if (!((mask >> l) & 1u)) continue;
-        const uint64_t line =
-            (uint64_t(in.tex) << 40) | (cu.step.addr[l] / 32);
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-          lines.push_back(line);
-      }
-      for (uint64_t line : lines) {
-        if (tex_.access(line)) continue;
-        // Texture miss: L2, then DRAM.  Tag texture space into L2.
-        l2_lines_.push_back(line | (uint64_t(1) << 60));
-      }
-      const uint32_t n = std::max<uint32_t>(1, uint32_t(lines.size()));
-      p.base_latency = g_.lat_tex_hit;
-      p.extra = n - 1;
-      p.line_end = l2_lines_.size();
-      pending_.push_back(p);
-      return {n, 0, true};
-    }
-
-    // Global loads/stores: coalesce into 128-byte (32-word) lines.
-    std::vector<uint64_t> lines;
+    // Coalesce into 128-byte (32-word) lines, in first-touch order;
+    // texture lines carry their texture id above the address bits.
+    const bool is_tex = in.op == Opcode::TEX2D;
+    const uint64_t space = is_tex ? uint64_t(in.tex) << 40 : 0;
+    std::array<uint64_t, 32> lines{};
+    uint32_t nlines = 0;
     for (int l = 0; l < 32; ++l) {
       if (!((mask >> l) & 1u)) continue;
-      const uint64_t line = cu.step.addr[l] / 32;
-      if (std::find(lines.begin(), lines.end(), line) == lines.end())
-        lines.push_back(line);
+      const uint64_t line = space | (cu.step.addr[l] / 32);
+      if (std::find(lines.begin(), lines.begin() + nlines, line) ==
+          lines.begin() + nlines)
+        lines[nlines++] = line;
     }
     const bool is_store = in.op == Opcode::ST_GLOBAL;
-    for (uint64_t line : lines) {
-      if (is_store) {
-        // Write-evict L1 (Fermi global stores): go straight to L2.
-        l2_lines_.push_back(line);
-        continue;
+    for (uint32_t i = 0; i < nlines; ++i) {
+      if (is_tex) {
+        // Texture miss: L2, then DRAM.  Tag texture space into L2.
+        if (!tex_.access(lines[i]))
+          l2_lines_.push_back(lines[i] | (uint64_t(1) << 60));
+      } else if (is_store || !l1_.access(lines[i])) {
+        // Write-evict L1 (Fermi global stores): stores go straight to L2.
+        l2_lines_.push_back(lines[i]);
       }
-      if (l1_.access(line)) continue;
-      l2_lines_.push_back(line);
     }
-    const uint32_t n = std::max<uint32_t>(1, uint32_t(lines.size()));
-    p.base_latency = g_.lat_l1_hit;
+    const uint32_t n = std::max<uint32_t>(1, nlines);
+    p.base_latency = is_tex ? g_.lat_tex_hit : g_.lat_l1_hit;
     p.extra = n - 1;
     p.line_end = l2_lines_.size();
     pending_.push_back(p);
@@ -717,7 +704,6 @@ class SmCore {
   const CompressionConfig& cc_;
   const KernelLaunchSpec& spec_;
   exec::ExecContext ctx_;  ///< SM-private copy (thread_insts, analysis)
-  const Occupancy& occ_;
   const SoftErrorModel* soft_model_;  ///< null = no soft-error tracking
 
   Cache l1_;
@@ -737,14 +723,38 @@ class SmCore {
   uint64_t ldst_free_ = 0;
   uint64_t sfu_free_ = 0;
   uint32_t spu_used_ = 0;
-  std::array<int, 8> greedy_warp_{kNoIndex, kNoIndex, kNoIndex, kNoIndex,
-                                  kNoIndex, kNoIndex, kNoIndex, kNoIndex};
+  std::array<int, GpuConfig::kMaxWarpSchedulers> greedy_warp_;
+
+  /// Per-cycle scratch, sized by the GpuConfig bounds validate_launch_spec
+  /// enforces: the bank-arbitration winner per bank and the ready
+  /// collector units as (age, index) pairs.
+  struct BankGrant {
+    int cu = kNoIndex;
+    int fetch = 0;
+  };
+  std::array<BankGrant, GpuConfig::kMaxRegisterBanks> grant_;
+  std::array<std::pair<uint64_t, int>, GpuConfig::kMaxCollectorUnits> ready_;
 };
 
 }  // namespace
 
-void validate_launch_spec(const CompressionConfig& comp,
+void validate_launch_spec(const GpuConfig& gpu, const CompressionConfig& comp,
                           const KernelLaunchSpec& spec) {
+  // The per-SM scheduler, bank and collector-unit state is sized by these
+  // bounds, and bank ids are stored in 8 bits.
+  GPURF_CHECK(gpu.num_sms > 0, "GpuConfig needs at least one SM");
+  GPURF_CHECK(gpu.warp_schedulers > 0 &&
+                  gpu.warp_schedulers <= GpuConfig::kMaxWarpSchedulers,
+              "warp_schedulers " << gpu.warp_schedulers << " outside [1, "
+                                 << GpuConfig::kMaxWarpSchedulers << "]");
+  GPURF_CHECK(gpu.register_banks > 0 &&
+                  gpu.register_banks <= GpuConfig::kMaxRegisterBanks,
+              "register_banks " << gpu.register_banks << " outside [1, "
+                                << GpuConfig::kMaxRegisterBanks << "]");
+  GPURF_CHECK(gpu.collector_units > 0 &&
+                  gpu.collector_units <= GpuConfig::kMaxCollectorUnits,
+              "collector_units " << gpu.collector_units << " outside [1, "
+                                 << GpuConfig::kMaxCollectorUnits << "]");
   GPURF_CHECK(spec.kernel && spec.gmem, "incomplete launch spec");
   GPURF_CHECK(spec.regs_per_thread > 0, "regs_per_thread must be set");
   // Zero *blocks* is a legal degenerate launch (simulates in zero
@@ -763,7 +773,7 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
                    const KernelLaunchSpec& spec,
                    gpurf::common::CancelToken* cancel,
                    const SimOptions& opt) {
-  validate_launch_spec(comp, spec);
+  validate_launch_spec(gpu, comp, spec);
 
   SimResult res;
   res.occupancy = compute_occupancy(gpu, spec.regs_per_thread,

@@ -196,9 +196,11 @@ struct SimOptions {
   int shards = 1;
 };
 
-/// Validate a launch spec before committing simulator resources.  Bad
-/// input (missing kernel/memory, unset register pressure, a block shape
-/// with zero threads) raises gpurf::Error via GPURF_CHECK — recoverable
+/// Validate a GpuConfig and launch spec before committing simulator
+/// resources.  Bad input (zero SMs, warp schedulers, register banks or
+/// collector units, or more than the GpuConfig::kMax* bounds; missing
+/// kernel/memory, unset register pressure, a block shape with zero
+/// threads) raises gpurf::Error via GPURF_CHECK — recoverable
 /// at the Engine boundary, which converts it to a Status instead of
 /// terminating.  An *empty grid* (zero blocks) is legal: it is a
 /// degenerate launch that simulates in exactly zero cycles (ISSUE 5 fixed
@@ -207,7 +209,7 @@ struct SimOptions {
 /// legal: the conversion/writeback overheads apply even when every
 /// operand still maps 1:1 (`comp` is taken for future mode-dependent
 /// checks).
-void validate_launch_spec(const CompressionConfig& comp,
+void validate_launch_spec(const GpuConfig& gpu, const CompressionConfig& comp,
                           const KernelLaunchSpec& spec);
 
 /// Run one kernel launch to completion.  Calls validate_launch_spec first.

@@ -240,6 +240,24 @@ entry:
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(Engine, OutOfBoundGpuConfigIsStatus) {
+  // EngineOptions::with_gpu is public: a GpuConfig the simulator cannot
+  // size its per-SM state for (here more warp schedulers than
+  // GpuConfig::kMaxWarpSchedulers) comes back as a Status.
+  sim::GpuConfig g = sim::GpuConfig::fermi_gtx480();
+  g.warp_schedulers = sim::GpuConfig::kMaxWarpSchedulers + 1;
+  Engine engine(
+      EngineOptions().with_threads(1).with_disk_cache(false).with_gpu(g));
+  SimRequest req;
+  req.scale = wl::Scale::kSample;
+  auto r = engine.simulate("DWT2D", req);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(r.status().to_string().find("warp_schedulers"),
+            std::string::npos)
+      << r.status().to_string();
+}
+
 TEST(Engine, VerifyRejectsUndefinedReadsUnlessWaived) {
   // PR 9: verify_kernel folds the liveness pass in — a register read on
   // some path before any definition is a FailedPrecondition naming the

@@ -380,6 +380,77 @@ TEST(Simulate, ZeroThreadBlockShapeIsRejected) {
                gpurf::Error);
 }
 
+// ------------------------------------------------ GpuConfig validation
+//
+// GpuConfig is public API (EngineOptions::with_gpu).  The simulator sizes
+// its per-SM scheduler, bank and collector-unit state by the
+// GpuConfig::kMax* bounds, so fields outside them must be rejected before
+// any state is built.
+
+/// Simulate a small axpy under `g`; returns the error message, or "" when
+/// the launch ran (and produced correct output).
+std::string axpy_under(const GpuConfig& g) {
+  const uint32_t n = 128 * 8;
+  SimRig rig(kAxpy, LaunchConfig{8, 1, 128, 1});
+  std::vector<float> x(n, 1.5f), y(n, 0.25f);
+  const uint32_t xb = rig.gmem.alloc_f32(x);
+  const uint32_t yb = rig.gmem.alloc_f32(y);
+  rig.spec.params = {xb, yb, n};
+  rig.spec.regs_per_thread = 8;
+  try {
+    simulate(g, CompressionConfig::baseline(), rig.spec);
+  } catch (const gpurf::Error& e) {
+    return e.what();
+  }
+  for (uint32_t i = 0; i < n; ++i)
+    EXPECT_EQ(rig.gmem.read_f32(yb + i, 1)[0], 1.5f * 2.0f + 0.25f);
+  return "";
+}
+
+TEST(ValidateGpuConfig, RejectsZeroSms) {
+  GpuConfig g;
+  g.num_sms = 0;
+  EXPECT_NE(axpy_under(g).find("SM"), std::string::npos);
+}
+
+TEST(ValidateGpuConfig, RejectsWarpSchedulersOutOfRange) {
+  for (uint32_t v : {0u, GpuConfig::kMaxWarpSchedulers + 1}) {
+    GpuConfig g;
+    g.warp_schedulers = v;
+    EXPECT_NE(axpy_under(g).find("warp_schedulers"), std::string::npos) << v;
+  }
+}
+
+TEST(ValidateGpuConfig, RejectsRegisterBanksOutOfRange) {
+  for (uint32_t v : {0u, GpuConfig::kMaxRegisterBanks + 1}) {
+    GpuConfig g;
+    g.register_banks = v;
+    EXPECT_NE(axpy_under(g).find("register_banks"), std::string::npos) << v;
+  }
+}
+
+TEST(ValidateGpuConfig, RejectsCollectorUnitsOutOfRange) {
+  for (uint32_t v : {0u, GpuConfig::kMaxCollectorUnits + 1}) {
+    GpuConfig g;
+    g.collector_units = v;
+    EXPECT_NE(axpy_under(g).find("collector_units"), std::string::npos)
+        << v;
+  }
+}
+
+TEST(ValidateGpuConfig, AcceptsTheUpperBounds) {
+  GpuConfig g;
+  g.warp_schedulers = GpuConfig::kMaxWarpSchedulers;
+  g.register_banks = GpuConfig::kMaxRegisterBanks;
+  g.collector_units = GpuConfig::kMaxCollectorUnits;
+  EXPECT_EQ(axpy_under(g), "");
+  g.num_sms = 1;
+  g.warp_schedulers = 1;
+  g.register_banks = 1;
+  g.collector_units = 1;
+  EXPECT_EQ(axpy_under(g), "");
+}
+
 // -------------------------------------------------- multi-SM sharded sim
 
 void expect_same_stats(const SimStats& a, const SimStats& b) {
