@@ -197,6 +197,8 @@ TEST(Simulate, TimedOutputsMatchUntimedExecution) {
   EXPECT_EQ(a.gmem.read_f32(ya, n), b.gmem.read_f32(yb, n));
 }
 
+// Launched with 64-thread blocks; each block stores its own 64 words, as
+// the sharded simulator's memory contract requires (sim/gpu.hpp).
 constexpr std::string_view kChain = R"(
 .kernel chain
 .param s32 out
@@ -218,7 +220,8 @@ body:
   add.s32 %i, %i, 1
   bra loop
 done:
-  mov.s32 %a, %tid.x
+  mov.s32 %a, %ctaid.x
+  mad.s32 %a, %a, 64, %tid.x
   add.s32 %a, %a, $out
   st.global.f32 [%a], %v
   ret
@@ -633,7 +636,6 @@ TEST(SimGolden, EngineTunedFaultAndSoftLaunches) {
   // tuned split/narrow allocation, a fault map dense enough to both
   // redirect and spill, and a soft-error run with exposure tracking.
   // Each is pinned at the serial schedule and at two shards.
-  gpurf::testing::PoolWidth width(2);
   gpurf::Engine engine(
       gpurf::EngineOptions().with_threads(2).with_disk_cache(false));
   gpurf::SimRequest orig;
