@@ -98,7 +98,8 @@ struct EngineOptions {
   sim::GpuConfig gpu = sim::GpuConfig::fermi_gtx480();
   /// Multi-SM shard count for every timing simulation this Engine runs
   /// (ISSUE 5): SMs tick in parallel on the Engine's pool with a
-  /// deterministic per-cycle barrier; SimStats are bit-identical at every
+  /// deterministic barrier once per window of max(1, min(lat_l1_hit,
+  /// lat_tex_hit)) cycles; SimStats are bit-identical at every
   /// value.  <= 0 resolves to `threads`; 1 forces the serial schedule.
   /// Overridable per request via SimRequest::sim_shards.
   int sim_shards = 0;

@@ -223,11 +223,12 @@ class ThreadPool {
 };
 
 /// Reusable cycle barrier for lockstep phase execution (ISSUE 5: the
-/// sharded timing simulator ticks all SMs in parallel, then runs a serial
-/// commit phase — L2 replay, block dispatch — between cycles).
+/// sharded timing simulator ticks its SMs in parallel through a window of
+/// max(1, min(lat_l1_hit, lat_tex_hit)) cycles, then runs a serial phase —
+/// block refills, L2 replay — between windows; see sim/gpu.hpp).
 ///
 /// Epoch-based: every participant calls arrive_and_wait(fn) once per
-/// cycle; the last arriver runs `fn` alone (exclusive access to shared
+/// window; the last arriver runs `fn` alone (exclusive access to shared
 /// state) and then releases the epoch.  Writes made before an arrival
 /// happen-before the completion function, and writes made inside the
 /// completion function happen-before every participant's return — so a
@@ -238,10 +239,10 @@ class ThreadPool {
 /// remaining ones, which is why the simulator's shard loops route every
 /// exception through a shared error slot instead of unwinding.
 ///
-/// Waiting spins briefly (per-cycle latency matters: a simulation runs
-/// millions of epochs) and then yields, so oversubscribed hosts — e.g. a
-/// one-core CI runner with GPURF_THREADS=4 — degrade to scheduler-paced
-/// progress instead of livelock.
+/// Waiting spins briefly (per-epoch latency matters: a sharded simulation
+/// meets once per window, thousands of times per run) and then yields, so
+/// oversubscribed hosts — e.g. a one-core CI runner with GPURF_THREADS=4 —
+/// degrade to scheduler-paced progress instead of livelock.
 class CycleBarrier {
  public:
   explicit CycleBarrier(int participants) : total_(participants) {}

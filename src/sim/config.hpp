@@ -53,6 +53,7 @@ struct GpuConfig {
   static constexpr uint32_t kMaxWarpSchedulers = 8;
   static constexpr uint32_t kMaxRegisterBanks = 256;
   static constexpr uint32_t kMaxCollectorUnits = 64;
+  static constexpr uint32_t kMaxWarpsPerSm = 64;
 
   static GpuConfig fermi_gtx480() { return GpuConfig{}; }
 };

@@ -78,16 +78,16 @@ struct FetchReq {
 constexpr int kMaxFetches = 6;
 
 struct CuEntry {
-  bool valid = false;
   int warp = kNoIndex;
-  exec::StepResult step;
   uint64_t active_from = 0;  ///< fetch requests visible from this cycle
   uint64_t alloc_cycle = 0;  ///< age for arbitration
   std::array<FetchReq, kMaxFetches> fetches{};
   uint8_t num_fetches = 0;
   uint8_t unserved = 0;      ///< fetches not yet granted a bank read port
   uint32_t conversions_left = 0;
-  bool ready_marked = false;
+  /// Last: only dispatch reads it, and its 128-byte lane-address array
+  /// would otherwise sit between the fields arbitration scans.
+  exec::StepResult step;
 
   void add_fetch(uint32_t bank) {
     fetches[num_fetches++] = FetchReq{static_cast<uint8_t>(bank), false};
@@ -95,6 +95,18 @@ struct CuEntry {
   }
   bool fetches_done() const { return unserved == 0; }
 };
+
+constexpr uint64_t bit(int i) { return uint64_t(1) << i; }
+/// The lowest `n` bits set (n <= 64).
+constexpr uint64_t low_bits(uint32_t n) {
+  return n >= 64 ? ~uint64_t(0) : bit(int(n)) - 1;
+}
+
+/// Calls fn(i) for every set bit i of `mask`, lowest index first.
+template <typename Fn>
+void for_each_bit(uint64_t mask, Fn&& fn) {
+  for (; mask != 0; mask &= mask - 1) fn(std::countr_zero(mask));
+}
 
 struct WriteBack {
   uint64_t cycle;
@@ -109,15 +121,12 @@ struct BlockCtx {
   uint32_t barrier_arrived = 0;
 };
 
+/// Per-warp-slot state; the active / at-barrier / scoreboard-wait flags
+/// live in SmCore's warp masks, indexed by the same slot.
 struct WarpCtx {
   int block = kNoIndex;          ///< index into SmCore::blocks_
   uint32_t warp_in_block = 0;
   uint32_t gwarp = 0;            ///< bank-hash id; equals the warps_ index
-  bool at_barrier = false;
-  bool active = false;
-  /// The next instruction failed the scoreboard and no pending flag of
-  /// this warp has cleared since, so it would fail again.
-  bool sb_wait = false;
   std::vector<uint8_t> pending;  ///< scoreboard flags per register
 };
 
@@ -138,9 +147,9 @@ class BlockDispatcher {
   uint64_t next_ = 0;
 };
 
-/// One LDST dispatch whose L2-dependent latency is resolved at the
-/// barrier: the probe stream (`lines`) replays against the shared L2 in
-/// SM-index order, because both the hit/miss outcome and the cache's
+/// One LDST dispatch whose L2-dependent latency is resolved in the serial
+/// phase: the probe stream (`lines`) replays against the shared L2 in
+/// (cycle, SM) order, because both the hit/miss outcome and the cache's
 /// tick_-based LRU state depend on global access order.
 struct PendingL2 {
   int warp = kNoIndex;        ///< destination warp (kNoIndex: no writeback)
@@ -170,6 +179,7 @@ class SmCore {
         tex_(g.tex) {
     ctx_.thread_insts = 0;
     cus_.resize(g.collector_units);
+    cu_all_ = low_bits(g.collector_units);
     const uint32_t wpb = spec.launch.warps_per_block();
     warps_.resize(size_t(occ.blocks_per_sm) * wpb);
     for (uint32_t s = 0; s < occ.blocks_per_sm; ++s)
@@ -179,34 +189,38 @@ class SmCore {
         wc.warp_in_block = w;
         wc.pending.assign(spec.kernel->num_regs(), 0);
       }
+    // Scheduler `s` owns the warp slots with gwarp % warp_schedulers == s.
+    sched_mask_.fill(0);
+    for (size_t w = 0; w < warps_.size(); ++w)
+      sched_mask_[w % g.warp_schedulers] |= bit(int(w));
     blocks_.resize(occ.blocks_per_sm);
     greedy_warp_.fill(kNoIndex);
   }
 
-  bool idle() const {
-    for (const auto& b : blocks_)
-      if (b.exec) return false;
-    return true;
+  /// An SM with no resident block still drains its collector units and
+  /// writebacks, but cannot free a block slot.
+  bool busy() const { return live_blocks_ > 0; }
+  uint64_t next_cycle() const { return next_cycle_; }
+  /// The last tick (cycle next_cycle() - 1) freed a block slot and the
+  /// refill owed for it has not run yet.
+  bool has_event() const { return event_; }
+
+  /// Tick from next_cycle() up to `end` (exclusive), touching only
+  /// SM-private state; stops early after a tick that frees a block slot.
+  /// Returns whether it stopped on such an event.
+  bool advance(uint64_t end) {
+    while (next_cycle_ < end) {
+      tick(next_cycle_++);
+      if (event_) return true;
+    }
+    return false;
   }
 
-  /// Parallel phase: everything an SM does in one cycle that touches only
-  /// SM-private state.  L2-bound memory dispatches are buffered (see
-  /// PendingL2) instead of probing the shared L2; block refill moved to
-  /// fill_blocks() in the barrier phase.
-  void tick(uint64_t now) {
-    if (soft_model_) accumulate_exposure();
-    retire_writebacks(now);
-    dispatch_ready(now);
-    arbitrate_banks(now);
-    run_converters(now);
-    issue(now);
-  }
-
-  /// Serial phase only (SM-index order, like commit_memory): land one
-  /// sampled strike on this SM and classify it.  Touches only SM-private
-  /// state plus the warp's functional registers — which no other SM reads
-  /// — so the taxonomy and the corrupted payloads are identical at every
-  /// shard count.
+  /// Serial phase only (W = 1 runs, in the flip process's arrival order;
+  /// see simulate()): land one sampled strike on this SM and classify it.
+  /// Touches only SM-private state plus the warp's functional registers —
+  /// which no other SM reads — so the taxonomy and the corrupted payloads
+  /// are identical at every shard count.
   void apply_soft_flip(const FlipSite& ev) {
     ++stats_.soft_flips_injected;
     // Static classification first (PR 9): a site none of whose aliased
@@ -218,7 +232,8 @@ class SmCore {
     const auto masked = [&] { ++stats_.soft_flips_masked_dead; };
     if (ev.warp_slot >= warps_.size()) return masked();
     WarpCtx& wc = warps_[ev.warp_slot];
-    if (!wc.active || wc.block == kNoIndex) return masked();
+    if (!(active_ & bit(int(ev.warp_slot))) || wc.block == kNoIndex)
+      return masked();
     BlockCtx& blk = blocks_[wc.block];
     if (!blk.exec) return masked();
     exec::WarpState& ws = blk.exec->warp_mut(wc.warp_in_block);
@@ -256,11 +271,14 @@ class SmCore {
     ++stats_.soft_flips_visible;
   }
 
-  /// Barrier phase 1 (serial, SM-index order): replay this SM's buffered
-  /// L2 probes against the shared L2 and schedule the writebacks whose
+  /// Serial phase ((cycle, SM) order): replay this SM's L2 probes buffered
+  /// at `cycle` against the shared L2 and schedule the writebacks whose
   /// latency depended on the hit/miss outcomes.
-  void commit_memory(Cache& l2) {
-    for (const PendingL2& p : pending_) {
+  void commit_memory(Cache& l2, uint64_t cycle) {
+    for (; committed_ < pending_.size() &&
+           pending_[committed_].issued_at <= cycle;
+         ++committed_) {
+      const PendingL2& p = pending_[committed_];
       uint32_t worst = p.base_latency;
       for (size_t i = p.line_begin; i < p.line_end; ++i)
         worst = std::max(
@@ -271,29 +289,37 @@ class SmCore {
                            p.reg});
       }
     }
-    pending_.clear();
-    l2_lines_.clear();
+    if (committed_ == pending_.size()) {
+      pending_.clear();
+      l2_lines_.clear();
+      committed_ = 0;
+    }
   }
 
-  /// Barrier phase 2 (serial, SM-index order): claim blocks from the
-  /// shared dispatcher.  Running this at the barrier — instead of
-  /// on-demand inside tick() — is what makes block placement a pure
-  /// function of the cycle number and the SM index.
+  /// Serial phase (SM-index order): claim blocks from the shared
+  /// dispatcher.  Running this between ticks — instead of on-demand inside
+  /// tick() — is what makes block placement a pure function of the cycle
+  /// number and the SM index.  Settles the owed refill (has_event()).
   void fill_blocks(BlockDispatcher& dispatcher) {
-    for (uint32_t slot = 0; slot < blocks_.size(); ++slot) {
-      if (blocks_[slot].exec || dispatcher.empty()) continue;
+    event_ = false;
+    const uint32_t wpb = warps_per_block();
+    for (uint32_t slot = 0;
+         live_blocks_ < blocks_.size() && !dispatcher.empty(); ++slot) {
+      if (blocks_[slot].exec) continue;
       auto [bx, by] = dispatcher.pop();
       BlockCtx& b = blocks_[slot];
       b.exec = std::make_unique<exec::BlockExec>(ctx_, bx, by);
-      b.warps_live = warps_per_block();
+      b.warps_live = wpb;
       b.barrier_arrived = 0;
+      ++live_blocks_;
       ++stats_.blocks_run;
-      for (uint32_t w = 0; w < warps_per_block(); ++w) {
-        WarpCtx& wc = warps_[size_t(slot) * warps_per_block() + w];
+      const uint64_t slot_warps = block_warps(slot);
+      active_ |= slot_warps;
+      at_barrier_ &= ~slot_warps;
+      sb_wait_ &= ~slot_warps;
+      for (uint32_t w = 0; w < wpb; ++w) {
+        WarpCtx& wc = warps_[size_t(slot) * wpb + w];
         wc.block = static_cast<int>(slot);
-        wc.active = true;
-        wc.at_barrier = false;
-        wc.sb_wait = false;
         std::fill(wc.pending.begin(), wc.pending.end(), 0);
       }
     }
@@ -311,18 +337,35 @@ class SmCore {
 
  private:
   uint32_t warps_per_block() const { return spec_.launch.warps_per_block(); }
+  uint64_t block_warps(uint32_t slot) const {
+    return low_bits(warps_per_block()) << (slot * warps_per_block());
+  }
+
+  /// Everything an SM does in one cycle; touches only SM-private state.
+  /// L2-bound memory dispatches are buffered (see PendingL2) instead of
+  /// probing the shared L2, and block refill happens between ticks
+  /// (fill_blocks()).
+  void tick(uint64_t now) {
+    if (soft_model_) accumulate_exposure();
+    retire_writebacks(now);
+    dispatch_ready(now);
+    arbitrate_banks(now);
+    run_converters(now);
+    issue(now);
+  }
 
   /// Live-bit exposure integral (PR 7): per cycle, every resident warp
   /// contributes (live payload bits at its current position) x (valid
   /// lanes).  Purely SM-private, position-driven, flip-independent — the
   /// deterministic cross-section number bench_soft compares.
   void accumulate_exposure() {
-    for (const WarpCtx& wc : warps_) {
-      if (!wc.active || wc.block == kNoIndex) continue;
+    for_each_bit(active_, [&](int w) {
+      const WarpCtx& wc = warps_[w];
+      if (wc.block == kNoIndex) return;
       const BlockCtx& blk = blocks_[wc.block];
-      if (!blk.exec) continue;
+      if (!blk.exec) return;
       const exec::WarpState& ws = blk.exec->warp(wc.warp_in_block);
-      if (ws.done() || ws.stack().empty()) continue;
+      if (ws.done() || ws.stack().empty()) return;
       const exec::StackEntry& pos = ws.stack().back();
       const uint64_t lanes = uint64_t(std::popcount(ws.valid_mask()));
       stats_.soft_live_bit_cycles +=
@@ -333,7 +376,7 @@ class SmCore {
       // comparison bench_analysis/bench_soft report.
       stats_.soft_static_live_bit_cycles +=
           uint64_t(soft_model_->static_payload_bits()) * lanes;
-    }
+    });
   }
 
   void retire_writebacks(uint64_t now) {
@@ -341,23 +384,29 @@ class SmCore {
       const WriteBack w = wb_.top();
       wb_.pop();
       warps_[w.warp].pending[w.reg] = 0;
-      warps_[w.warp].sb_wait = false;
+      sb_wait_ &= ~bit(w.warp);
     }
+  }
+
+  void release_cu(int c) {
+    cu_valid_ &= ~bit(c);
+    cu_ready_ &= ~bit(c);
   }
 
   // ------------------------------------------------------------- dispatch
   void dispatch_ready(uint64_t now) {
     spu_used_ = 0;  // both SPUs accept one instruction per cycle
+    if (cu_ready_ == 0) return;
     // Dispatch ready collector units oldest first; the CU index breaks
     // ties, so equal ages go in index order.
     int nready = 0;
-    for (int i = 0; i < int(cus_.size()); ++i)
-      if (cus_[i].valid && cus_[i].ready_marked)
-        ready_[nready++] = {cus_[i].alloc_cycle, i};
-    if (nready == 0) return;
+    for_each_bit(cu_ready_, [&](int c) {
+      ready_[nready++] = {cus_[c].alloc_cycle, c};
+    });
     std::sort(ready_.begin(), ready_.begin() + nready);
     for (int k = 0; k < nready; ++k) {
-      CuEntry& cu = cus_[ready_[k].second];
+      const int c = ready_[k].second;
+      CuEntry& cu = cus_[c];
       const ir::Instruction& in = *cu.step.inst;
       const UnitClass unit = in.info().unit;
       uint64_t done_at = 0;
@@ -367,9 +416,9 @@ class SmCore {
         ldst_free_ = now + ma.transactions;
         if (ma.deferred) {
           // L2-dependent latency: the writeback (if any) is scheduled by
-          // commit_memory() at this cycle's barrier, once the buffered L2
-          // probes have resolved hit/miss in SM-index order.
-          cu.valid = false;
+          // commit_memory() in the serial phase, once the buffered L2
+          // probes have resolved hit/miss in (cycle, SM) order.
+          release_cu(c);
           continue;
         }
         done_at = now + ma.latency;
@@ -387,29 +436,29 @@ class SmCore {
         const uint64_t wb_extra = cc_.enabled ? cc_.writeback_delay : 0;
         wb_.push(WriteBack{done_at + wb_extra, cu.warp, in.dst});
       }
-      cu.valid = false;
+      release_cu(c);
     }
   }
 
   // ------------------------------------------------------- bank arbitration
   void arbitrate_banks(uint64_t now) {
+    const uint64_t collecting = cu_valid_ & ~cu_ready_;
+    if (collecting == 0) return;
     // One read port per bank: serve the oldest pending request per bank.
     // One pass over the CUs in index order; the strict < keeps the lowest
     // CU index among equal ages, and a CU's later fetch to a bank never
     // displaces its own earlier one.
     std::fill_n(grant_.begin(), g_.register_banks, BankGrant{});
-    for (int c = 0; c < int(cus_.size()); ++c) {
+    for_each_bit(collecting, [&](int c) {
       const CuEntry& cu = cus_[c];
-      if (!cu.valid || cu.ready_marked || cu.active_from > now ||
-          cu.fetches_done())
-        continue;
+      if (cu.active_from > now || cu.fetches_done()) return;
       for (int f = 0; f < cu.num_fetches; ++f) {
         if (cu.fetches[f].served) continue;
         BankGrant& g = grant_[cu.fetches[f].bank];
         if (g.cu == kNoIndex || cu.alloc_cycle < cus_[g.cu].alloc_cycle)
           g = BankGrant{c, f};
       }
-    }
+    });
     for (uint32_t bank = 0; bank < g_.register_banks; ++bank) {
       const BankGrant& g = grant_[bank];
       if (g.cu == kNoIndex) continue;
@@ -419,27 +468,30 @@ class SmCore {
       ++stats_.operand_fetches;
     }
     // Mark CUs whose fetches completed and need no conversion.
-    for (auto& cu : cus_) {
-      if (cu.valid && !cu.ready_marked && cu.active_from <= now &&
-          cu.fetches_done() && cu.conversions_left == 0)
-        cu.ready_marked = true;
-    }
+    for_each_bit(collecting, [&](int c) {
+      const CuEntry& cu = cus_[c];
+      if (cu.active_from <= now && cu.fetches_done() &&
+          cu.conversions_left == 0)
+        cu_ready_ |= bit(c);
+    });
   }
 
   void run_converters(uint64_t now) {
     if (!cc_.enabled) return;
     uint32_t budget = cc_.conversions_per_cycle;
-    for (auto& cu : cus_) {
-      if (budget == 0) break;
-      if (!(cu.valid && !cu.ready_marked && cu.active_from <= now &&
-            cu.fetches_done() && cu.conversions_left > 0))
+    for (uint64_t m = cu_valid_ & ~cu_ready_; m != 0 && budget != 0;
+         m &= m - 1) {
+      CuEntry& cu = cus_[std::countr_zero(m)];
+      if (!(cu.active_from <= now && cu.fetches_done() &&
+            cu.conversions_left > 0))
         continue;
       const uint32_t take = std::min(budget, cu.conversions_left);
       cu.conversions_left -= take;
       budget -= take;
       stats_.conversions += take;
       // Converted operands become ready next cycle (one-cycle VC latency);
-      // leaving ready_marked false until the next arbitrate pass models it.
+      // leaving the cu_ready_ bit clear until the next arbitrate pass
+      // models it.
     }
   }
 
@@ -447,28 +499,18 @@ class SmCore {
   void issue(uint64_t now) {
     const int nsched = int(g_.warp_schedulers);
     for (int sched = 0; sched < nsched; ++sched) {
-      bool saw_scoreboard = false, saw_no_cu = false, saw_barrier = false;
-      int free_cu = kNoIndex;  // lowest-index free collector unit
-      for (int c = 0; c < int(cus_.size()); ++c)
-        if (!cus_[c].valid) {
-          free_cu = c;
-          break;
-        }
+      // Lowest-index free collector unit.
+      const uint64_t free = ~cu_valid_ & cu_all_;
+      const int free_cu = free != 0 ? std::countr_zero(free) : kNoIndex;
+      bool saw_no_cu = false;
       // GTO: greedily retry the last-issued warp first, then oldest
-      // (arrival order).  Scheduler `sched` owns the warps with
-      // gwarp % warp_schedulers == sched, i.e. every nsched-th slot.
+      // (arrival order) among this scheduler's warps that are neither
+      // parked at a barrier nor waiting on the scoreboard.
       int& greedy = greedy_warp_[sched];
+      const uint64_t mine = active_ & sched_mask_[sched];
+      uint64_t ready = mine & ~at_barrier_ & ~sb_wait_;
       const auto try_issue = [&](int w) {
         WarpCtx& wc = warps_[w];
-        if (!wc.active) return false;
-        if (wc.at_barrier) {
-          saw_barrier = true;
-          return false;
-        }
-        if (wc.sb_wait) {
-          saw_scoreboard = true;
-          return false;
-        }
         BlockCtx& blk = blocks_[wc.block];
         // Predecoded view: the control classification comes from the
         // shared decoded stream instead of being re-derived per issue
@@ -478,8 +520,7 @@ class SmCore {
             blk.exec->peek_decoded(wc.warp_in_block);
         if (!dec) return false;
         if (!scoreboard_clear(wc, *dec->in)) {
-          wc.sb_wait = true;
-          saw_scoreboard = true;
+          sb_wait_ |= bit(w);
           return false;
         }
         const bool is_control = dec->is_control;
@@ -491,25 +532,28 @@ class SmCore {
         // Issue: functional execution happens now.
         const exec::StepResult step = blk.exec->step(wc.warp_in_block);
         ++stats_.warp_insts;
-        greedy = wc.active ? w : kNoIndex;
-
+        greedy = w;
         if (is_control) {
           handle_control(w, step);
-          if (!wc.active || wc.at_barrier) greedy = kNoIndex;
+          if (!(active_ & ~at_barrier_ & bit(w))) greedy = kNoIndex;
         } else {
           allocate_cu(now, w, free_cu, step);
         }
         return true;
       };
-      const int first = greedy;
-      bool issued = first != kNoIndex && try_issue(first);
-      for (int w = sched; !issued && w < int(warps_.size()); w += nsched)
-        if (w != first) issued = try_issue(w);
+      bool issued = false;
+      if (greedy != kNoIndex && (ready & bit(greedy))) {
+        ready &= ~bit(greedy);
+        issued = try_issue(greedy);
+      }
+      for (; !issued && ready != 0; ready &= ready - 1)
+        issued = try_issue(std::countr_zero(ready));
       if (!issued) {
+        // Every candidate was tried, so the masks classify the stall.
         greedy = kNoIndex;
-        if (saw_scoreboard) ++stats_.stall_scoreboard;
+        if (mine & ~at_barrier_ & sb_wait_) ++stats_.stall_scoreboard;
         else if (saw_no_cu) ++stats_.stall_no_cu;
-        else if (saw_barrier) ++stats_.stall_barrier;
+        else if (mine & at_barrier_) ++stats_.stall_barrier;
         else ++stats_.stall_empty;
       }
     }
@@ -536,20 +580,20 @@ class SmCore {
     WarpCtx& wc = warps_[w];
     BlockCtx& blk = blocks_[wc.block];
     if (step.warp_done) {
-      wc.active = false;
+      active_ &= ~bit(w);
       GPURF_ASSERT(blk.warps_live > 0, "warp count underflow");
       if (--blk.warps_live == 0) {
         blk.exec.reset();  // slot refilled by fill_blocks()
+        --live_blocks_;
+        event_ = true;
       }
       return;
     }
     if (step.at_barrier) {
-      wc.at_barrier = true;
+      at_barrier_ |= bit(w);
       if (++blk.barrier_arrived == blk.warps_live) {
         blk.barrier_arrived = 0;
-        const uint32_t base = uint32_t(wc.block) * warps_per_block();
-        for (uint32_t i = 0; i < warps_per_block(); ++i)
-          warps_[base + i].at_barrier = false;
+        at_barrier_ &= ~block_warps(uint32_t(wc.block));
       }
     }
   }
@@ -560,7 +604,7 @@ class SmCore {
     const ir::Instruction& in = *step.inst;
     CuEntry& cu = cus_[cu_slot];
     cu = CuEntry{};
-    cu.valid = true;
+    cu_valid_ |= bit(cu_slot);
     cu.warp = w;
     cu.step = step;
     cu.alloc_cycle = now;
@@ -630,13 +674,13 @@ class SmCore {
   struct MemAccess {
     uint32_t transactions = 1;
     uint32_t latency = 0;   ///< valid when !deferred
-    bool deferred = false;  ///< resolved by commit_memory() at the barrier
+    bool deferred = false;  ///< resolved by commit_memory() later
   };
 
   /// Classify one memory dispatch.  Shared-memory traffic is entirely
   /// SM-private and resolves immediately; global / texture traffic probes
   /// the private L1 / texture caches now but buffers its L2 stream (the
-  /// only cross-SM cache) for the in-order barrier replay.
+  /// only cross-SM cache) for the in-order serial-phase replay.
   MemAccess memory_access(uint64_t now, const CuEntry& cu) {
     const ir::Instruction& in = *cu.step.inst;
     const uint32_t mask = cu.step.active_mask;
@@ -710,13 +754,30 @@ class SmCore {
   Cache tex_;
   SimStats stats_;  ///< SM-private; merged in SM-index order at the end
 
-  /// L2 probes buffered during the parallel tick (see PendingL2).
+  /// L2 probes buffered by tick() (see PendingL2), in issue order;
+  /// entries before committed_ are already replayed.
   std::vector<PendingL2> pending_;
   std::vector<uint64_t> l2_lines_;
+  size_t committed_ = 0;
 
   std::vector<BlockCtx> blocks_;
+  uint32_t live_blocks_ = 0;  ///< slots holding a block
+  uint64_t next_cycle_ = 0;   ///< the next cycle tick() runs
+  bool event_ = false;        ///< see has_event()
   std::vector<WarpCtx> warps_;
   std::vector<CuEntry> cus_;
+  /// Bit i = collector unit i holds an instruction / has all operands
+  /// (ready is a subset of valid); cu_all_ covers the configured units.
+  uint64_t cu_valid_ = 0;
+  uint64_t cu_ready_ = 0;
+  uint64_t cu_all_ = 0;
+  /// Bit w = warp slot w: holds a running warp / is parked at a block
+  /// barrier / failed the scoreboard and no writeback of it has retired
+  /// since, so it would fail again.
+  uint64_t active_ = 0;
+  uint64_t at_barrier_ = 0;
+  uint64_t sb_wait_ = 0;
+  std::array<uint64_t, GpuConfig::kMaxWarpSchedulers> sched_mask_;
   std::priority_queue<WriteBack, std::vector<WriteBack>,
                       std::greater<WriteBack>>
       wb_;
@@ -725,7 +786,7 @@ class SmCore {
   uint32_t spu_used_ = 0;
   std::array<int, GpuConfig::kMaxWarpSchedulers> greedy_warp_;
 
-  /// Per-cycle scratch, sized by the GpuConfig bounds validate_launch_spec
+  /// Per-tick scratch, sized by the GpuConfig bounds validate_launch_spec
   /// enforces: the bank-arbitration winner per bank and the ready
   /// collector units as (age, index) pairs.
   struct BankGrant {
@@ -741,8 +802,13 @@ class SmCore {
 void validate_launch_spec(const GpuConfig& gpu, const CompressionConfig& comp,
                           const KernelLaunchSpec& spec) {
   // The per-SM scheduler, bank and collector-unit state is sized by these
-  // bounds, and bank ids are stored in 8 bits.
+  // bounds, bank ids are stored in 8 bits, and warp slots and collector
+  // units are bits of 64-bit masks.
   GPURF_CHECK(gpu.num_sms > 0, "GpuConfig needs at least one SM");
+  GPURF_CHECK(gpu.max_warps_per_sm > 0 &&
+                  gpu.max_warps_per_sm <= GpuConfig::kMaxWarpsPerSm,
+              "max_warps_per_sm " << gpu.max_warps_per_sm << " outside [1, "
+                                  << GpuConfig::kMaxWarpsPerSm << "]");
   GPURF_CHECK(gpu.warp_schedulers > 0 &&
                   gpu.warp_schedulers <= GpuConfig::kMaxWarpSchedulers,
               "warp_schedulers " << gpu.warp_schedulers << " outside [1, "
@@ -797,7 +863,7 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
 
   // Soft-error machinery (PR 7): the vulnerability model is built once
   // against the active storage layout; the flip process is owned here and
-  // advanced exclusively in the serial barrier phase, so the flip trace is
+  // advanced exclusively in the serial phase, so the flip trace is
   // a pure function of (rate, seed) at every shard count.
   std::unique_ptr<SoftErrorModel> soft_model;
   std::optional<SoftErrorProcess> soft_proc;
@@ -813,13 +879,14 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     sms.push_back(std::make_unique<SmCore>(gpu, comp, spec, ctx,
                                            res.occupancy, soft_model.get()));
 
-  // Initial block placement: one barrier-phase fill before cycle 0, in
-  // SM-index order — identical for the serial and every sharded schedule.
+  // Initial block placement: one fill before cycle 0, in SM-index order —
+  // identical for the serial and every sharded schedule.
   for (auto& sm : sms) sm->fill_blocks(dispatcher);
 
-  const auto all_idle = [&] {
+  // Every SM is idle and has ticked exactly the cycles before `next`.
+  const auto all_idle_at = [&](uint64_t next) {
     for (const auto& sm : sms)
-      if (!sm->idle()) return false;
+      if (sm->busy() || sm->next_cycle() != next) return false;
     return true;
   };
 
@@ -841,17 +908,40 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     if (!crew->acquired()) nshards = 1;
   }
 
-  // Per-cycle schedule, identical at every shard count:
-  //   1. parallel: every SM ticks against private state (L2 buffered);
-  //   2. barrier (one thread): L2 replay + writeback scheduling in
-  //      SM-index order, then block refill in SM-index order, then the
-  //      cycle counter / cancellation / termination bookkeeping.
-  // `stop` and `cycle` are written only inside the serial phase and read
-  // by the shards after the barrier release (the barrier's epoch ordering
-  // publishes them); `err` latches the first exception — shard loops must
-  // never unwind past the barrier, or the remaining shards would hang.
+  // Window schedule, identical in results at every shard count.  A
+  // buffered L2 probe lands its writeback at least base_latency >= W =
+  // min(lat_l1_hit, lat_tex_hit) cycles after its issue, so replaying the
+  // shared L2 once per window of W cycles moves no writeback.  Per window
+  // [cycle, horizon):
+  //   1. parallel: each shard ticks its busy SMs towards the horizon; an
+  //      SM stops after a tick that frees a block slot (an event), and
+  //      idle SMs stay where they are, because a refill may wake them;
+  //   2. serial (one thread): the events are replayed in cycle order —
+  //      every SM is brought to the earliest event cycle m, the SMs whose
+  //      event is at m are refilled in SM-index order, and the run may
+  //      end at m — until every SM reaches the horizon; then the L2 probes
+  //      replay in (cycle, SM) order, followed by the soft flips, the
+  //      cancellation checkpoint and the max_cycles check.
+  // Serial runs (the reference, in which functional execution keeps its
+  // cycle-major SM order) and soft-flip runs (strikes land between
+  // cycles) take W = 1.  `stop`, `cycle` and `horizon` are written only
+  // in the serial phase and read by the shards after the barrier release
+  // (the barrier's epoch ordering publishes them); `err` latches the
+  // first exception — shard loops must never unwind past the barrier, or
+  // the remaining shards would hang.
+  const uint64_t window =
+      nshards > 1 && !soft_proc
+          ? std::max<uint32_t>(1, std::min(gpu.lat_l1_hit, gpu.lat_tex_hit))
+          : 1;
   uint64_t cycle = 0;
-  bool stop = dispatcher.empty() && all_idle();
+  uint64_t horizon = 0;
+  const auto set_horizon = [&] {
+    // Never across a 4096-cycle checkpoint or past max_cycles.
+    horizon = std::min({cycle + window, (cycle | 0xFFF) + 1, gpu.max_cycles});
+    horizon = std::max(horizon, cycle + 1);
+  };
+  set_horizon();
+  bool stop = dispatcher.empty() && all_idle_at(0);
   std::exception_ptr err;
   std::mutex err_mu;
   const auto record_error = [&] {
@@ -859,79 +949,106 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     if (!err) err = std::current_exception();
   };
 
-  const auto serial_phase = [&]() noexcept {
+  const auto run_busy = [&](size_t lo, size_t hi) {
+    try {
+      for (size_t s = lo; s < hi; ++s)
+        if (sms[s]->busy()) sms[s]->advance(horizon);
+    } catch (...) {
+      record_error();
+    }
+  };
+
+  const auto close_window = [&]() noexcept {
     try {
       if (err) {
         stop = true;
         return;
       }
-      for (auto& sm : sms) sm->commit_memory(l2);
-      for (auto& sm : sms) sm->fill_blocks(dispatcher);
-      // Land this cycle's sampled strikes, routed to their SM in SM-index
-      // independent arrival order (the process emits them sequentially) —
-      // serial-phase-only, like every other cross-SM mutation.
+      const uint64_t start = cycle;
+      uint64_t m = 0;
+      do {
+        m = horizon - 1;
+        for (const auto& sm : sms)
+          if (sm->has_event()) m = std::min(m, sm->next_cycle() - 1);
+        // Busy SMs behind m first: one may hit an earlier event, which
+        // becomes m.  A busy SM already past m did not free a slot at m.
+        for (auto& sm : sms)
+          if (sm->busy() && sm->next_cycle() <= m && sm->advance(m + 1))
+            m = sm->next_cycle() - 1;
+        for (auto& sm : sms)
+          if (!sm->busy() && sm->next_cycle() <= m) sm->advance(m + 1);
+        for (auto& sm : sms)
+          if (sm->has_event() && sm->next_cycle() == m + 1)
+            sm->fill_blocks(dispatcher);
+        if (dispatcher.empty() && all_idle_at(m + 1)) {
+          stop = true;
+          break;
+        }
+      } while (m + 1 < horizon);
+      for (uint64_t c = start; c <= m; ++c)
+        for (auto& sm : sms) sm->commit_memory(l2, c);
+      // Land this cycle's sampled strikes (W = 1, so m == start), routed
+      // to their SM in arrival order (the process emits them
+      // sequentially) — serial-phase-only, like every other cross-SM
+      // mutation.
       if (soft_proc) {
         FlipSite site;
-        while (soft_proc->next_flip(cycle, &site))
+        while (soft_proc->next_flip(m, &site))
           sms[site.sm]->apply_soft_flip(site);
       }
-      ++cycle;
+      cycle = m + 1;
       // Cancellation/deadline checkpoint + progress heartbeat: every 4096
-      // cycles keeps the poll off the per-cycle hot path while bounding
-      // the stop latency to one slice (unchanged from the serial-only
-      // simulator — Job cancellation latency does not grow with shards).
+      // cycles keeps the poll off the hot path while bounding the stop
+      // latency to one slice (windows never straddle a slice boundary).
       if (cancel && (cycle & 0xFFF) == 0) {
         cancel->sim_cycles.store(cycle, std::memory_order_relaxed);
         cancel->checkpoint();
       }
-      if (dispatcher.empty() && all_idle()) {
-        stop = true;
-        return;
-      }
+      if (stop) return;
       GPURF_CHECK(cycle < gpu.max_cycles, "simulation exceeded max_cycles");
+      set_horizon();
     } catch (...) {
       record_error();
       stop = true;
     }
   };
 
-  if (nshards <= 1) {
+  const auto run_serial = [&] {
     while (!stop) {
-      for (auto& sm : sms) sm->tick(cycle);
-      serial_phase();
+      run_busy(0, sms.size());
+      close_window();
     }
+  };
+
+  if (nshards <= 1) {
+    run_serial();
   } else {
     common::CycleBarrier barrier(nshards);
-    const auto shard_loop = [&](size_t shard) {
+    const auto shard_windows = [&](size_t shard) {
       // Contiguous static SM partition, same formula as parallel_for's
       // shard split: a pure function of (num_sms, nshards, shard).
       const size_t n = sms.size();
       const size_t lo = n * shard / static_cast<size_t>(nshards);
       const size_t hi = n * (shard + 1) / static_cast<size_t>(nshards);
-      for (;;) {
-        if (stop) break;
-        try {
-          for (size_t s = lo; s < hi; ++s) sms[s]->tick(cycle);
-        } catch (...) {
-          record_error();
-        }
-        barrier.arrive_and_wait(serial_phase);
+      while (!stop) {
+        run_busy(lo, hi);
+        barrier.arrive_and_wait(close_window);
       }
     };
     // Dedicated crew: the caller runs shard 0, nshards-1 spawned threads
-    // run the rest.  shard_loop never throws (exceptions latch into
+    // run the rest.  shard_windows never throws (exceptions latch into
     // `err`), so every started thread always reaches its join.  Spawned
     // threads park on a start gate until the whole crew exists — if a
     // std::thread constructor fails mid-crew (thread rlimit), the partial
     // crew is told to abort and joined, and the run degrades to the
-    // serial schedule instead of leaving threads at a barrier that can
-    // never fill (or terminating on a joinable ~thread during unwind).
+    // serial loop instead of leaving threads at a barrier that can never
+    // fill (or terminating on a joinable ~thread during unwind).
     std::atomic<int> gate{0};  // 0 = hold, 1 = run, -1 = abort
     const auto crew_main = [&](size_t s) {
       int g;
       while ((g = gate.load(std::memory_order_acquire)) == 0)
         std::this_thread::yield();
-      if (g > 0) shard_loop(s);
+      if (g > 0) shard_windows(s);
     };
     std::vector<std::thread> extra;
     extra.reserve(static_cast<size_t>(nshards - 1));
@@ -945,13 +1062,10 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     }
     if (static_cast<int>(extra.size()) == nshards - 1) {
       gate.store(1, std::memory_order_release);
-      shard_loop(0);
+      shard_windows(0);
       for (auto& t : extra) t.join();
     } else {
-      while (!stop) {
-        for (auto& sm : sms) sm->tick(cycle);
-        serial_phase();
-      }
+      run_serial();
     }
   }
   if (err) std::rethrow_exception(err);

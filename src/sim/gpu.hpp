@@ -23,20 +23,26 @@
 // same numerics the quality metrics scored.
 //
 // Sharded execution (ISSUE 5): SimOptions::shards > 1 partitions the SMs
-// into contiguous index ranges ticked in parallel with a deterministic
-// per-cycle barrier.  The shards run on a dedicated, process-gated thread
-// crew sized by the current thread pool's width — not on pool workers,
-// because a simulation occupies its threads for the whole run and must
-// not starve other sessions' short fan-outs (see sim/gpu.cpp); when
-// another simulation already holds the crew token, the run degrades to
-// the serial schedule with identical results.  Each SM owns private
-// SimStats, a private ExecContext (thread_insts) and its private L1 /
-// texture caches; the only cross-SM structures — the block dispatcher and
-// the shared L2 — are touched exclusively in the serial barrier phase, in
-// SM-index order (per-SM L2 accesses are buffered during the parallel
-// tick and replayed at the barrier, because the cache's LRU state is
-// order-sensitive).  SimStats are therefore bit-identical to the serial
-// schedule at every shard count.
+// into contiguous index ranges ticked in parallel; the shards meet at a
+// deterministic barrier once per window of W = max(1, min(lat_l1_hit,
+// lat_tex_hit)) cycles, not once per cycle.  The window rule: an SM ticks
+// privately until the window ends or until a tick frees one of its block
+// slots (an event); the serial phase then replays the events in cycle
+// order — refilling slots from the block dispatcher in SM-index order at
+// the event's cycle — and replays the window's buffered L2 probes in
+// (cycle, SM) order.  Every L2-dependent writeback lands at least W cycles
+// after its issue, so it is scheduled before any tick that could see it.
+// Serial runs and soft-flip runs take W = 1.  The shards run on a
+// dedicated, process-gated thread crew sized by the current thread pool's
+// width — not on pool workers, because a simulation occupies its threads
+// for the whole run and must not starve other sessions' short fan-outs
+// (see sim/gpu.cpp); when another simulation already holds the crew
+// token, the run degrades to the serial schedule with identical results.
+// Each SM owns private SimStats, a private ExecContext (thread_insts) and
+// its private L1 / texture caches; the only cross-SM structures — the
+// block dispatcher and the shared L2 — are touched exclusively in the
+// serial phase, in that fixed order.  SimStats are therefore
+// bit-identical to the serial schedule at every shard count.
 //
 // Sharded memory contract (stricter than block-parallel run_functional,
 // which replays a write log in grid order): blocks of one launch must
@@ -189,18 +195,20 @@ struct SimResult {
 /// Execution-strategy knobs for one simulate() call (timing results are
 /// identical for every setting; only wall-clock changes).
 struct SimOptions {
-  /// Number of SM shards ticked in parallel per cycle.  1 = serial (the
-  /// reference schedule); <= 0 resolves to the current thread pool's
-  /// width; values are clamped to min(pool width, num_sms).  Nested calls
-  /// from inside a pool worker always degrade to serial.
+  /// Number of SM shards ticked in parallel between barriers, which come
+  /// once per window of max(1, min(lat_l1_hit, lat_tex_hit)) cycles (see
+  /// the file comment).  1 = serial (the reference schedule); <= 0
+  /// resolves to the current thread pool's width; values are clamped to
+  /// min(pool width, num_sms).  Nested calls from inside a pool worker
+  /// always degrade to serial.
   int shards = 1;
 };
 
 /// Validate a GpuConfig and launch spec before committing simulator
-/// resources.  Bad input (zero SMs, warp schedulers, register banks or
-/// collector units, or more than the GpuConfig::kMax* bounds; missing
-/// kernel/memory, unset register pressure, a block shape with zero
-/// threads) raises gpurf::Error via GPURF_CHECK — recoverable
+/// resources.  Bad input (zero SMs, warp schedulers, register banks,
+/// collector units or max warps per SM, or more than the GpuConfig::kMax*
+/// bounds; missing kernel/memory, unset register pressure, a block shape
+/// with zero threads) raises gpurf::Error via GPURF_CHECK — recoverable
 /// at the Engine boundary, which converts it to a Status instead of
 /// terminating.  An *empty grid* (zero blocks) is legal: it is a
 /// degenerate launch that simulates in exactly zero cycles (ISSUE 5 fixed
@@ -214,7 +222,7 @@ void validate_launch_spec(const GpuConfig& gpu, const CompressionConfig& comp,
 
 /// Run one kernel launch to completion.  Calls validate_launch_spec first.
 /// `cancel` (nullable) is the cooperative stop/progress channel: the
-/// barrier phase polls it every few thousand cycles, publishing the
+/// serial phase polls it every 4096 cycles, publishing the
 /// simulated-cycle count and throwing common::CancelledError once a stop
 /// was requested — the partially-advanced simulator state is simply
 /// discarded with the stack, so cancellation can never corrupt anything

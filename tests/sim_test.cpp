@@ -441,16 +441,30 @@ TEST(ValidateGpuConfig, RejectsCollectorUnitsOutOfRange) {
   }
 }
 
+TEST(ValidateGpuConfig, RejectsMaxWarpsPerSmOutOfRange) {
+  // 0 would make Occupancy::percent NaN; above 64 the per-SM warp masks
+  // overflow.
+  for (uint32_t v : {0u, GpuConfig::kMaxWarpsPerSm + 1}) {
+    GpuConfig g;
+    g.max_warps_per_sm = v;
+    EXPECT_NE(axpy_under(g).find("max_warps_per_sm"), std::string::npos)
+        << v;
+  }
+}
+
 TEST(ValidateGpuConfig, AcceptsTheUpperBounds) {
   GpuConfig g;
   g.warp_schedulers = GpuConfig::kMaxWarpSchedulers;
   g.register_banks = GpuConfig::kMaxRegisterBanks;
   g.collector_units = GpuConfig::kMaxCollectorUnits;
+  g.max_warps_per_sm = GpuConfig::kMaxWarpsPerSm;
+  g.max_blocks_per_sm = GpuConfig::kMaxWarpsPerSm;
   EXPECT_EQ(axpy_under(g), "");
   g.num_sms = 1;
   g.warp_schedulers = 1;
   g.register_banks = 1;
   g.collector_units = 1;
+  g.max_warps_per_sm = 4;  // one 128-thread axpy block
   EXPECT_EQ(axpy_under(g), "");
 }
 
@@ -516,6 +530,117 @@ TEST(ShardedSimulate, CompressedSplitAllocationMatchesSerial) {
   const auto serial = run(1);
   EXPECT_GT(serial.stats.double_fetches, 0u);
   for (int shards : {2, 8}) expect_same_stats(serial.stats, run(shards).stats);
+}
+
+// Per-block trip count (ctaid.x * 7) % 13 in 0..12, so blocks end at
+// scattered cycles inside a window; global and shared traffic plus a
+// barrier on the way out.  Each block touches only its own 64 words.
+constexpr std::string_view kRagged = R"(
+.kernel ragged
+.param s32 out
+.reg s32 %i
+.reg s32 %n
+.reg s32 %a
+.reg s32 %t
+.reg f32 %v
+.reg f32 %w
+.reg pred %p
+entry:
+  mov.s32 %n, %ctaid.x
+  mul.s32 %n, %n, 7
+  rem.s32 %n, %n, 13
+  mov.s32 %i, 0
+  mov.f32 %v, 1.0
+  mov.s32 %a, %ctaid.x
+  mad.s32 %a, %a, 64, %tid.x
+  add.s32 %a, %a, $out
+loop:
+  setp.ge.s32 %p, %i, %n
+  @%p bra done
+body:
+  ld.global.f32 %w, [%a]
+  mad.f32 %v, %v, 0.5, %w
+  st.global.f32 [%a], %v
+  add.s32 %i, %i, 1
+  bra loop
+done:
+  mov.s32 %t, %tid.x
+  st.shared.s32 [%t], %t
+  bar.sync
+  st.global.f32 [%a], %v
+  ret
+)";
+
+struct RaggedRun {
+  SimResult res;
+  std::vector<uint32_t> out;
+};
+
+RaggedRun run_ragged(const GpuConfig& g, const CompressionConfig& cc,
+                     uint32_t blocks, int shards) {
+  SimRig rig(kRagged, LaunchConfig{blocks, 1, 64, 1});
+  rig.k.shared_bytes = 256;
+  const uint32_t out = rig.gmem.alloc(64 * blocks);
+  rig.spec.params = {out};
+  rig.spec.regs_per_thread = 8;
+  SimOptions so;
+  so.shards = shards;
+  RaggedRun r;
+  r.res = simulate(g, cc, rig.spec, nullptr, so);
+  for (uint32_t i = 0; i < 64 * blocks; ++i)
+    r.out.push_back(rig.gmem.read(out + i));
+  return r;
+}
+
+TEST(ShardedSimulate, WindowEdgeCasesMatchSerial) {
+  // Sharded runs meet once per window of W = min(lat_l1_hit, lat_tex_hit)
+  // cycles.  Grids of 1 and 7 blocks leave SMs idle from cycle 0, 15 and
+  // 31 end blocks mid-window on every SM, and 200 blocks refill slots
+  // and drain the dispatcher mid-window.
+  gpurf::testing::PoolWidth width(8);
+  GpuConfig w1, w7;
+  w1.lat_l1_hit = w1.lat_tex_hit = 1;
+  w7.lat_l1_hit = 7;
+  w7.lat_tex_hit = 9;
+  const struct {
+    const char* name;
+    GpuConfig gpu;
+  } gpus[] = {{"W=60", GpuConfig::fermi_gtx480()}, {"W=1", w1}, {"W=7", w7}};
+  const CompressionConfig ccs[] = {CompressionConfig::baseline(),
+                                   CompressionConfig::paper_default()};
+  for (const auto& g : gpus)
+    for (const auto& cc : ccs)
+      for (uint32_t blocks : {1u, 7u, 15u, 31u, 200u}) {
+        const std::string what = std::string(g.name) +
+                                 (cc.enabled ? " compressed" : " baseline") +
+                                 " blocks=" + std::to_string(blocks);
+        const RaggedRun serial = run_ragged(g.gpu, cc, blocks, 1);
+        EXPECT_EQ(serial.res.stats.blocks_run, blocks) << what;
+        for (int shards : {2, 4, 8}) {
+          const RaggedRun sharded = run_ragged(g.gpu, cc, blocks, shards);
+          gpurf::testing::expect_same_sim_stats(
+              serial.res.stats, sharded.res.stats,
+              what + " T=" + std::to_string(shards));
+          EXPECT_EQ(serial.out, sharded.out) << what << " T=" << shards;
+        }
+      }
+}
+
+TEST(ShardedSimulate, MaxCyclesOverrunRaisesTheSameErrorAtEveryShardCount) {
+  gpurf::testing::PoolWidth width(4);
+  GpuConfig g;
+  g.max_cycles = 1000;  // not a multiple of the 60-cycle window
+  std::string msg[2];
+  for (int i = 0; i < 2; ++i) {
+    try {
+      run_ragged(g, CompressionConfig::baseline(), 200, i == 0 ? 1 : 4);
+      ADD_FAILURE() << "no max_cycles error at shards " << (i == 0 ? 1 : 4);
+    } catch (const gpurf::Error& e) {
+      msg[i] = e.what();
+    }
+  }
+  EXPECT_NE(msg[0].find("max_cycles"), std::string::npos) << msg[0];
+  EXPECT_EQ(msg[0], msg[1]);
 }
 
 TEST(ShardedSimulate, ShardCountBeyondPoolDegradesGracefully) {
