@@ -81,6 +81,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
               "pack_ints requires range-analysis results");
   GPURF_CHECK(!opt.pack_floats || (pmap != nullptr && pmap->active()),
               "pack_floats requires a precision map");
+  if (opt.pack_floats) pmap->validate(k.num_regs());
 
   const auto cfg = analysis::build_cfg(k);
   const auto live = analysis::compute_liveness(k, cfg);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 
 #include "analysis/memory_access.hpp"
 #include "common/bitutil.hpp"
@@ -135,11 +136,8 @@ void BlockExec::write_dst(WarpState& ws, const Instruction& in, uint32_t lane,
 
   // Model the sliced register file: a value stored through a narrow float
   // format is quantized on every write (§3.2.6, Value Truncator).
-  if (t == Type::F32 && ctx_.precision && ctx_.precision->active()) {
-    const auto& fmt = ctx_.precision->format(d);
-    if (!fmt.is_fp32())
-      raw = from_f(gpurf::fp::quantize(as_f(raw), fmt));
-  }
+  if (t == Type::F32 && ctx_.precision && ctx_.precision->active())
+    raw = from_f(gpurf::fp::quantize(as_f(raw), ctx_.precision->format(d)));
 
   // Soundness check: integer values must stay inside the statically
   // computed range (a violation is a range-analysis bug, not a data bug).
@@ -273,59 +271,81 @@ uint32_t BlockExec::exec_lane(const WarpState& ws, const Instruction& in,
   }
 }
 
-void BlockExec::gather_operand(const WarpState& ws, const ir::Operand& o,
-                               uint32_t* out) const {
+const uint32_t* BlockExec::gather_operand(const WarpState& ws,
+                                          const ir::Operand& o,
+                                          uint32_t* scratch) const {
+  uint32_t v = 0;
   switch (o.kind) {
-    case ir::Operand::Kind::REG: {
-      const uint32_t* src = ws.lanes(o.index);
-      for (uint32_t l = 0; l < kWarpSize; ++l) out[l] = src[l];
-      return;
-    }
-    case ir::Operand::Kind::IMM_I: {
-      const uint32_t v = static_cast<uint32_t>(static_cast<int64_t>(o.imm_i));
-      for (uint32_t l = 0; l < kWarpSize; ++l) out[l] = v;
-      return;
-    }
-    case ir::Operand::Kind::IMM_F: {
-      const uint32_t v = from_f(o.imm_f);
-      for (uint32_t l = 0; l < kWarpSize; ++l) out[l] = v;
-      return;
-    }
+    case ir::Operand::Kind::REG:
+      return ws.lanes(o.index);  // the register row itself, no copy
+    case ir::Operand::Kind::IMM_I:
+      v = static_cast<uint32_t>(static_cast<int64_t>(o.imm_i));
+      break;
+    case ir::Operand::Kind::IMM_F:
+      v = from_f(o.imm_f);
+      break;
     case ir::Operand::Kind::SPECIAL: {
       const auto s = static_cast<ir::Special>(o.index);
       // Only the thread-index specials vary across a warp; everything else
       // is a launch constant and splats.
       if (s == ir::Special::TID_X || s == ir::Special::TID_Y) {
         for (uint32_t l = 0; l < kWarpSize; ++l)
-          out[l] = special_value(s, ws.warp_in_block(), l);
-        return;
+          scratch[l] = special_value(s, ws.warp_in_block(), l);
+        return scratch;
       }
-      const uint32_t v = special_value(s, ws.warp_in_block(), 0);
-      for (uint32_t l = 0; l < kWarpSize; ++l) out[l] = v;
-      return;
+      v = special_value(s, ws.warp_in_block(), 0);
+      break;
     }
-    case ir::Operand::Kind::PARAM: {
-      const uint32_t v = ctx_.params.at(o.index);
-      for (uint32_t l = 0; l < kWarpSize; ++l) out[l] = v;
-      return;
-    }
+    case ir::Operand::Kind::PARAM:
+      v = ctx_.params.at(o.index);
+      break;
   }
+  for (uint32_t l = 0; l < kWarpSize; ++l) scratch[l] = v;
+  return scratch;
 }
 
 namespace {
 
-/// Apply `fn(a, b)` across all 32 lanes — the workhorse the compiler
+/// Apply `fn(a, b, c)` across all 32 lanes — the workhorse the compiler
 /// auto-vectorises (operations are total on every bit pattern, so inactive
-/// lanes compute garbage that the masked write-back then discards).
+/// lanes compute garbage that the masked write-back then discards).  The
+/// operands may be register rows, but `out` is exec_warp's own result row,
+/// and __restrict tells the compiler so.
 template <typename Fn>
-inline void warp_map2(const uint32_t* a, const uint32_t* b, uint32_t* out,
+inline void warp_map3(const uint32_t* __restrict a,
+                      const uint32_t* __restrict b,
+                      const uint32_t* __restrict c, uint32_t* __restrict out,
+                      Fn&& fn) {
+  for (uint32_t l = 0; l < 32; ++l) out[l] = fn(a[l], b[l], c[l]);
+}
+
+template <typename Fn>
+inline void warp_map2(const uint32_t* __restrict a,
+                      const uint32_t* __restrict b, uint32_t* __restrict out,
                       Fn&& fn) {
   for (uint32_t l = 0; l < 32; ++l) out[l] = fn(a[l], b[l]);
 }
 
 template <typename Fn>
-inline void warp_map1(const uint32_t* a, uint32_t* out, Fn&& fn) {
+inline void warp_map1(const uint32_t* __restrict a, uint32_t* __restrict out,
+                      Fn&& fn) {
   for (uint32_t l = 0; l < 32; ++l) out[l] = fn(a[l]);
+}
+
+/// Masked row write-back: lane l of `dst` takes `vals[l]` when bit l of
+/// `mask` is set.  A bitwise blend against a table of lane bits, not a
+/// per-lane shift or a conditional store, keeps the loop vectorizable.
+inline void write_row(uint32_t* __restrict dst,
+                      const uint32_t* __restrict vals, uint32_t mask) {
+  static constexpr auto kLaneBit = [] {
+    std::array<uint32_t, 32> bits{};
+    for (uint32_t l = 0; l < 32; ++l) bits[l] = 1u << l;
+    return bits;
+  }();
+  for (uint32_t l = 0; l < 32; ++l) {
+    const uint32_t take = ((mask & kLaneBit[l]) == 0) - 1u;  // ~0 if active
+    dst[l] = (vals[l] & take) | (dst[l] & ~take);
+  }
 }
 
 /// Transcendentals dispatch to libm per lane; restrict them to active lanes
@@ -342,37 +362,18 @@ inline void warp_map1_masked(uint32_t mask, const uint32_t* a, uint32_t* out,
 template <typename Cast>
 inline void warp_setp(ir::CmpOp cmp, const uint32_t* a, const uint32_t* b,
                       uint32_t* out, Cast cast) {
+  const auto sweep = [&](auto pred) {
+    warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
+      return pred(cast(x), cast(y)) ? 1u : 0u;
+    });
+  };
   switch (cmp) {
-    case ir::CmpOp::EQ:
-      warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
-        return cast(x) == cast(y) ? 1u : 0u;
-      });
-      break;
-    case ir::CmpOp::NE:
-      warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
-        return cast(x) != cast(y) ? 1u : 0u;
-      });
-      break;
-    case ir::CmpOp::LT:
-      warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
-        return cast(x) < cast(y) ? 1u : 0u;
-      });
-      break;
-    case ir::CmpOp::LE:
-      warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
-        return cast(x) <= cast(y) ? 1u : 0u;
-      });
-      break;
-    case ir::CmpOp::GT:
-      warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
-        return cast(x) > cast(y) ? 1u : 0u;
-      });
-      break;
-    case ir::CmpOp::GE:
-      warp_map2(a, b, out, [&](uint32_t x, uint32_t y) {
-        return cast(x) >= cast(y) ? 1u : 0u;
-      });
-      break;
+    case ir::CmpOp::EQ: sweep(std::equal_to<>{}); break;
+    case ir::CmpOp::NE: sweep(std::not_equal_to<>{}); break;
+    case ir::CmpOp::LT: sweep(std::less<>{}); break;
+    case ir::CmpOp::LE: sweep(std::less_equal<>{}); break;
+    case ir::CmpOp::GT: sweep(std::greater<>{}); break;
+    case ir::CmpOp::GE: sweep(std::greater_equal<>{}); break;
   }
 }
 
@@ -381,16 +382,17 @@ inline void warp_setp(ir::CmpOp cmp, const uint32_t* a, const uint32_t* b,
 void BlockExec::exec_warp(WarpState& ws, const DecodedInst& dec,
                           uint32_t exec_mask, StepResult& res) {
   const Instruction& in = *dec.in;
-  alignas(64) uint32_t a[kWarpSize];
-  alignas(64) uint32_t b[kWarpSize];
-  alignas(64) uint32_t c[kWarpSize];
+  // Rows for operands that are not registers (registers read in place).
+  alignas(64) uint32_t scratch[3][kWarpSize];
+  const uint32_t* a =
+      dec.num_srcs > 0 ? gather_operand(ws, in.srcs[0], scratch[0]) : nullptr;
+  const uint32_t* b =
+      dec.num_srcs > 1 ? gather_operand(ws, in.srcs[1], scratch[1]) : nullptr;
+  const uint32_t* c =
+      dec.num_srcs > 2 ? gather_operand(ws, in.srcs[2], scratch[2]) : nullptr;
   // Zero-initialised: masked cases (loads, transcendentals) leave inactive
-  // lanes untouched, and the branch-free write-back select still reads them.
+  // lanes untouched, and the quantizer and the write-back select read them.
   alignas(64) uint32_t out[kWarpSize] = {};
-
-  if (dec.num_srcs > 0) gather_operand(ws, in.srcs[0], a);
-  if (dec.num_srcs > 1) gather_operand(ws, in.srcs[1], b);
-  if (dec.num_srcs > 2) gather_operand(ws, in.srcs[2], c);
 
   switch (dec.lane_op) {
     case LaneOp::kAddF:
@@ -419,12 +421,14 @@ void BlockExec::exec_warp(WarpState& ws, const DecodedInst& dec,
                 [](uint32_t x, uint32_t y) { return mul32(x, y); });
       break;
     case LaneOp::kMadF:
-      for (uint32_t l = 0; l < kWarpSize; ++l)
-        out[l] = from_f(as_f(a[l]) * as_f(b[l]) + as_f(c[l]));
+      warp_map3(a, b, c, out, [](uint32_t x, uint32_t y, uint32_t z) {
+        return from_f(as_f(x) * as_f(y) + as_f(z));
+      });
       break;
     case LaneOp::kMadI:
-      for (uint32_t l = 0; l < kWarpSize; ++l)
-        out[l] = mul32(a[l], b[l]) + c[l];
+      warp_map3(a, b, c, out, [](uint32_t x, uint32_t y, uint32_t z) {
+        return mul32(x, y) + z;
+      });
       break;
     case LaneOp::kDivF:
       warp_map2(a, b, out, [](uint32_t x, uint32_t y) {
@@ -551,8 +555,9 @@ void BlockExec::exec_warp(WarpState& ws, const DecodedInst& dec,
       warp_map1(a, out, [](uint32_t x) { return x; });
       break;
     case LaneOp::kSelp:
-      for (uint32_t l = 0; l < kWarpSize; ++l)
-        out[l] = c[l] != 0 ? a[l] : b[l];
+      warp_map3(a, b, c, out, [](uint32_t x, uint32_t y, uint32_t z) {
+        return z != 0 ? x : y;
+      });
       break;
     case LaneOp::kCvtF2S:
       warp_map1_masked(exec_mask, a, out,
@@ -644,22 +649,14 @@ void BlockExec::exec_warp(WarpState& ws, const DecodedInst& dec,
 }
 
 void BlockExec::write_dst_warp(WarpState& ws, const Instruction& in,
-                               uint32_t exec_mask, const uint32_t* vals) {
+                               uint32_t exec_mask, uint32_t* vals) {
   const uint32_t d = in.dst;
   const Type t = k_.regs[d].type;
 
   // Sliced-register-file model, warp-wide (§3.2.6, Value Truncator): every
-  // f32 write through a narrow format is quantized for the active lanes.
-  alignas(64) uint32_t quant[kWarpSize];
-  const uint32_t* src = vals;
-  if (t == Type::F32 && ctx_.precision && ctx_.precision->active()) {
-    const auto& fmt = ctx_.precision->format(d);
-    if (!fmt.is_fp32()) {
-      for (uint32_t l = 0; l < kWarpSize; ++l) quant[l] = vals[l];
-      gpurf::fp::quantize_warp(quant, exec_mask, fmt);
-      src = quant;
-    }
-  }
+  // f32 write through a narrow format is quantized in place.
+  if (t == Type::F32 && ctx_.precision && ctx_.precision->active())
+    gpurf::fp::quantize_warp(vals, ctx_.precision->format(d));
 
   if (ctx_.range_check && ir::is_int(t)) {
     const auto& info = ctx_.range_check->regs[d];
@@ -667,8 +664,8 @@ void BlockExec::write_dst_warp(WarpState& ws, const Instruction& in,
       for (uint32_t l = 0; l < kWarpSize; ++l) {
         if (!((exec_mask >> l) & 1u)) continue;
         const int64_t v = (t == Type::S32)
-                              ? static_cast<int64_t>(as_s(src[l]))
-                              : static_cast<int64_t>(src[l]);
+                              ? static_cast<int64_t>(as_s(vals[l]))
+                              : static_cast<int64_t>(vals[l]);
         GPURF_ASSERT(info.range.contains(v),
                      "range violation: %" << k_.regs[d].name << " = " << v
                                           << " outside " << info.range.str());
@@ -676,16 +673,10 @@ void BlockExec::write_dst_warp(WarpState& ws, const Instruction& in,
     }
   }
 
-  uint32_t* dst = ws.regs_.data() + size_t(d) * kWarpSize;
-  if (exec_mask == 0xffffffffu) {
-    for (uint32_t l = 0; l < kWarpSize; ++l) dst[l] = src[l];
-  } else {
-    for (uint32_t l = 0; l < kWarpSize; ++l)
-      dst[l] = ((exec_mask >> l) & 1u) ? src[l] : dst[l];
-  }
+  write_row(ws.regs_.data() + size_t(d) * kWarpSize, vals, exec_mask);
 }
 
-StepResult BlockExec::step(uint32_t w) {
+void BlockExec::step(uint32_t w, StepResult& res) {
   WarpState& ws = warps_[w];
   GPURF_ASSERT(!ws.done_, "step() on a finished warp");
   StackEntry& tos = ws.stack_.back();
@@ -695,8 +686,9 @@ StepResult BlockExec::step(uint32_t w) {
   const DecodedInst& dec = ka_->inst(tos.blk, tos.inst);
   const Instruction& in = *dec.in;
 
-  StepResult res;
   res.inst = &in;
+  res.warp_done = false;
+  res.at_barrier = false;
 
   // Guard mask, computed warp-wide: read the whole predicate row and build
   // the bit mask branch-free (restricting to tos.mask afterwards gives the
@@ -775,7 +767,6 @@ StepResult BlockExec::step(uint32_t w) {
   }
 
   advance(ws, in, exec_mask, res);
-  return res;
 }
 
 void BlockExec::advance(WarpState& ws, const Instruction& in,
@@ -847,11 +838,12 @@ void BlockExec::pop_reconverged(WarpState& ws) {
 }
 
 void BlockExec::run_to_completion() {
+  StepResult r;
   while (!all_done()) {
     bool progress = false;
     for (uint32_t w = 0; w < num_warps(); ++w) {
       while (!warps_[w].done()) {
-        const StepResult r = step(w);
+        step(w, r);
         progress = true;
         if (r.at_barrier) break;  // rotate to the next warp at barriers
       }
@@ -879,6 +871,7 @@ uint64_t run_functional(ExecContext& ctx) {
   // Hoist the static analysis out of the per-block loop: every BlockExec
   // of this launch shares one CFG/ipdom/decoded stream.
   if (!ctx.analysis) ctx.analysis = analyze_kernel(*ctx.kernel);
+  if (ctx.precision) ctx.precision->validate(ctx.kernel->num_regs());
   ctx.thread_insts = 0;
   const uint64_t nblocks = ctx.launch.num_blocks();
 

@@ -14,7 +14,7 @@
 //    of each instruction for its cache / coalescing model.
 //
 // Execution model (ISSUE 2): the data path is warp-vectorized — operands
-// are gathered into 32-wide struct-of-arrays rows, each predecoded LaneOp
+// are read as 32-wide struct-of-arrays rows, each predecoded LaneOp
 // runs as one branch-free lane loop the compiler auto-vectorises, and the
 // destination row is written back under the active mask.  The per-lane
 // scalar path (exec_lane) is retained as the bit-identical reference for
@@ -46,6 +46,8 @@ struct StackEntry {
 };
 
 /// Result of executing one warp instruction; consumed by the timing model.
+/// Caller-owned and reused across steps: BlockExec::step() overwrites every
+/// field except the `addr` lanes outside the memory trace.
 struct StepResult {
   const gpurf::ir::Instruction* inst = nullptr;
   uint32_t active_mask = 0;  ///< lanes that actually executed
@@ -53,7 +55,7 @@ struct StepResult {
   bool at_barrier = false;
   /// Memory trace: per-lane word address (global/shared) or texel index
   /// (texture); valid for lanes set in active_mask of memory instructions.
-  std::array<uint32_t, kWarpSize> addr{};
+  std::array<uint32_t, kWarpSize> addr;
 };
 
 class WarpState {
@@ -115,8 +117,8 @@ class BlockExec {
   /// opcode classes per issue attempt.
   const DecodedInst* peek_decoded(uint32_t w) const;
 
-  /// Execute exactly one warp instruction.
-  StepResult step(uint32_t w);
+  /// Execute exactly one warp instruction, describing it in `res`.
+  void step(uint32_t w, StepResult& res);
 
   /// Run the whole block functionally, respecting barriers by rotating
   /// between warps at barrier boundaries.
@@ -131,14 +133,15 @@ class BlockExec {
                          uint32_t lane) const;
   uint32_t exec_lane(const WarpState& ws, const gpurf::ir::Instruction& in,
                      uint32_t lane, StepResult& res) const;
-  // SoA warp data path (default): operands gathered into 32-wide rows, one
+  // SoA warp data path (default): register rows read in place, one
   // branch-free lane loop per fused LaneOp, masked row write-back.
-  void gather_operand(const WarpState& ws, const gpurf::ir::Operand& o,
-                      uint32_t* out) const;
+  const uint32_t* gather_operand(const WarpState& ws,
+                                 const gpurf::ir::Operand& o,
+                                 uint32_t* scratch) const;
   void exec_warp(WarpState& ws, const DecodedInst& dec, uint32_t exec_mask,
                  StepResult& res);
   void write_dst_warp(WarpState& ws, const gpurf::ir::Instruction& in,
-                      uint32_t exec_mask, const uint32_t* vals);
+                      uint32_t exec_mask, uint32_t* vals);
   void advance(WarpState& ws, const gpurf::ir::Instruction& in,
                uint32_t exec_mask, StepResult& res);
   void pop_reconverged(WarpState& ws);
@@ -158,7 +161,8 @@ class BlockExec {
 };
 
 /// Run the entire grid functionally (block by block).  Returns the total
-/// number of thread instructions executed.
+/// number of thread instructions executed.  Throws gpurf::Error if
+/// ctx.precision fails PrecisionMap::validate for the kernel.
 uint64_t run_functional(ExecContext& ctx);
 
 }  // namespace gpurf::exec

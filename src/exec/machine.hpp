@@ -163,12 +163,20 @@ struct PrecisionMap {
   std::vector<gpurf::fp::FloatFormat> per_reg;
 
   bool active() const { return !per_reg.empty(); }
+  /// Unchecked: the launch entry points validate() the map once.
   const gpurf::fp::FloatFormat& format(uint32_t reg) const {
-    return per_reg.at(reg);
+    return per_reg[reg];
   }
-  /// Total f32 slice count under this assignment (8 slices when inactive).
-  int slices(uint32_t reg) const {
-    return active() ? per_reg.at(reg).slices() : 8;
+  /// Throws gpurf::Error unless the map is empty or gives each of a
+  /// kernel's `num_regs` registers a Table-3 format.
+  void validate(uint32_t num_regs) const {
+    GPURF_CHECK(!active() || per_reg.size() == num_regs,
+                "precision map has " << per_reg.size() << " entries for "
+                                     << num_regs << " registers");
+    for (size_t r = 0; r < per_reg.size(); ++r)
+      GPURF_CHECK(gpurf::fp::is_table3(per_reg[r]),
+                  "precision map entry " << r << " (" << per_reg[r].total_bits
+                                         << " bits) is not a Table-3 format");
   }
 };
 

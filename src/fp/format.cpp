@@ -1,5 +1,6 @@
 #include "fp/format.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bitutil.hpp"
@@ -27,82 +28,69 @@ FloatFormat format_for_bits(int total_bits) {
   return {};
 }
 
+bool is_table3(const FloatFormat& fmt) {
+  const auto& t = table3_formats();
+  return std::find(t.begin(), t.end(), fmt) != t.end();
+}
+
+namespace {
+
+// quantize() on binary32 bits, for a Table-3 format narrower than binary32.
+// The format's constants live in the object, where no lane store can alias
+// them, and the rule is branch-free, so quantize_warp's loop vectorizes.
+struct Quantizer {
+  explicit Quantizer(const FloatFormat& fmt)
+      : drop(23 - fmt.man_bits),
+        low((1u << drop) - 1),
+        inf_from(static_cast<uint32_t>(128 + fmt.bias()) << 23),
+        zero_below(static_cast<uint32_t>(128 - fmt.bias()) << 23) {}
+
+  uint32_t operator()(uint32_t bits) const {
+    const uint32_t mag = bits & 0x7fffffffu;
+    // Round to nearest even: add just under half, plus the kept LSB.
+    uint32_t r = (mag + (low >> 1) + ((mag >> drop) & 1u)) & ~low;
+    r = r >= inf_from ? 0x7f800000u : r;  // overflow (and infinity)
+    r = r < zero_below ? 0u : r;          // underflow, denormals
+    r = mag > 0x7f800000u ? 0x7fc00000u : r;  // NaN
+    return r | (bits & 0x80000000u);
+  }
+
+  int drop;
+  uint32_t low, inf_from, zero_below;
+};
+
+}  // namespace
+
+float quantize(float v, const FloatFormat& fmt) {
+  if (fmt.is_fp32()) return v;
+  return bits_float(Quantizer(fmt)(float_bits(v)));
+}
+
 uint32_t encode(float v, const FloatFormat& fmt) {
-  const uint32_t raw = float_bits(v);
-  if (fmt.is_fp32()) return raw;
-
-  const uint32_t sign = raw >> 31;
-  const int exp = static_cast<int>((raw >> 23) & 0xff);
-  const uint32_t man = raw & 0x7fffff;
-
-  const int mb = fmt.man_bits;
-  const uint32_t sign_shifted = sign << (fmt.total_bits - 1);
-  const uint32_t exp_mask_target = static_cast<uint32_t>(fmt.max_exp_field());
-
-  if (exp == 0xff) {
-    // Inf / NaN: all-ones exponent in the target too.
-    uint32_t out = sign_shifted | (exp_mask_target << mb);
-    if (man != 0) out |= (1u << (mb - 1));  // canonical quiet NaN
-    return out;
-  }
-  if (exp == 0) {
-    // binary32 denormal (or zero): flush to signed zero.
-    return sign_shifted;
-  }
-
-  // Normal number: re-bias the exponent, round the mantissa (RNE).
-  int e_target = exp - 127 + fmt.bias();
-  uint32_t m = man;
-  const int drop = 23 - mb;
-  uint32_t m_hi = m >> drop;
-  const uint32_t round_bit = (m >> (drop - 1)) & 1u;
-  const uint32_t sticky = m & low_mask(drop - 1);
-  if (round_bit && (sticky != 0 || (m_hi & 1u))) {
-    ++m_hi;
-    if (m_hi == (1u << mb)) {  // mantissa overflow: 1.111.. -> 10.000..
-      m_hi = 0;
-      ++e_target;
-    }
-  }
-
-  if (e_target >= fmt.max_exp_field()) {
-    // Overflow: saturate to infinity.
-    return sign_shifted | (exp_mask_target << mb);
-  }
-  if (e_target <= 0) {
-    // Would be a target denormal: flush to zero.
-    return sign_shifted;
-  }
-  return sign_shifted | (static_cast<uint32_t>(e_target) << mb) | m_hi;
+  if (fmt.is_fp32()) return float_bits(v);
+  const uint32_t q = Quantizer(fmt)(float_bits(v));
+  // q is a signed zero, infinity, the quiet NaN or a normal of `fmt`.
+  const uint32_t exp = (q >> 23) & 0xffu;
+  const uint32_t e =
+      exp == 0 ? 0
+      : exp == 0xffu
+          ? static_cast<uint32_t>(fmt.max_exp_field())
+          : exp - 127 + static_cast<uint32_t>(fmt.bias());
+  return (q >> 31) << (fmt.total_bits - 1) | e << fmt.man_bits |
+         (q & 0x7fffffu) >> (23 - fmt.man_bits);
 }
 
 float decode(uint32_t bits, const FloatFormat& fmt) {
   if (fmt.is_fp32()) return bits_float(bits);
-
   const int mb = fmt.man_bits;
-  const uint32_t sign = (bits >> (fmt.total_bits - 1)) & 1u;
-  const uint32_t e = (bits >> mb) & static_cast<uint32_t>(fmt.max_exp_field());
+  const uint32_t max_e = static_cast<uint32_t>(fmt.max_exp_field());
+  const uint32_t e = (bits >> mb) & max_e;
   const uint32_t m = bits & low_mask(mb);
-
-  if (e == 0) {
-    // Zero (denormals are never produced by encode).
-    return bits_float(sign << 31);
-  }
-  if (e == static_cast<uint32_t>(fmt.max_exp_field())) {
-    if (m == 0) return bits_float((sign << 31) | 0x7f800000u);  // inf
-    return bits_float((sign << 31) | 0x7fc00000u);              // quiet NaN
-  }
-  const int exp32 = static_cast<int>(e) - fmt.bias() + 127;
-  GPURF_ASSERT(exp32 > 0 && exp32 < 255,
-               "re-biased exponent escaped binary32 range");
-  const uint32_t man32 = m << (23 - mb);
-  return bits_float((sign << 31) | (static_cast<uint32_t>(exp32) << 23) |
-                    man32);
-}
-
-float quantize(float v, const FloatFormat& fmt) {
-  if (fmt.is_fp32()) return v;
-  return decode(encode(v, fmt), fmt);
+  uint32_t mag = (e + 127 - static_cast<uint32_t>(fmt.bias())) << 23 |
+                 m << (23 - mb);
+  if (e == 0) mag = 0;
+  if (e == max_e) mag = m != 0 ? 0x7fc00000u : 0x7f800000u;
+  return bits_float(((bits >> (fmt.total_bits - 1)) & 1u) << 31 | mag);
 }
 
 bool exactly_representable(float v, const FloatFormat& fmt) {
@@ -111,16 +99,10 @@ bool exactly_representable(float v, const FloatFormat& fmt) {
   return float_bits(q) == float_bits(v);
 }
 
-void quantize_warp(uint32_t* bits, uint32_t mask, const FloatFormat& fmt) {
+void quantize_warp(uint32_t* bits, const FloatFormat& fmt) {
   if (fmt.is_fp32()) return;
-  if (mask == 0xffffffffu) {
-    for (int l = 0; l < 32; ++l)
-      bits[l] = float_bits(decode(encode(bits_float(bits[l]), fmt), fmt));
-    return;
-  }
-  for (int l = 0; l < 32; ++l)
-    if ((mask >> l) & 1u)
-      bits[l] = float_bits(decode(encode(bits_float(bits[l]), fmt), fmt));
+  const Quantizer q(fmt);
+  for (int l = 0; l < 32; ++l) bits[l] = q(bits[l]);
 }
 
 }  // namespace gpurf::fp

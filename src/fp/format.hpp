@@ -49,29 +49,34 @@ const std::array<FloatFormat, 7>& table3_formats();
 /// not in {32,28,24,20,16,12,8}.
 FloatFormat format_for_bits(int total_bits);
 
-/// Encode an IEEE binary32 value into `fmt`.  The result occupies the low
-/// `fmt.total_bits` bits.  Overflow saturates to +/-infinity; values whose
-/// magnitude falls below the smallest normal are flushed to +/-0; NaN maps
-/// to a canonical quiet NaN.
+/// True if `fmt` is one of the seven Table-3 formats.
+bool is_table3(const FloatFormat& fmt);
+
+/// The value a register-file slice stores for `v` under the Table-3 format
+/// `fmt`: the single rounding rule, which encode() packs and every
+/// quantized f32 register write applies.  On the binary32 bits, the
+/// magnitude rounds to nearest even at `fmt.man_bits` (a mantissa carry
+/// flows into the exponent); past the largest normal it becomes infinity,
+/// below the smallest normal (binary32 denormals too) zero, and any NaN
+/// the quiet NaN 0x7fc00000; the sign is kept.  Identity for binary32.
+float quantize(float v, const FloatFormat& fmt);
+
+/// Encode an IEEE binary32 value into `fmt`: quantize(v, fmt) packed into
+/// the low `fmt.total_bits` bits (sign, re-biased exponent, mantissa).
 uint32_t encode(float v, const FloatFormat& fmt);
 
-/// Decode a value produced by encode() back to binary32 (exact: every
-/// normal value of every Table-3 format is representable in binary32).
+/// Unpack bits produced by encode() back to binary32 (exact).  A zero
+/// exponent field decodes to a signed zero, an all-ones field to infinity
+/// or the quiet NaN.
 float decode(uint32_t bits, const FloatFormat& fmt);
-
-/// decode(encode(v)) — the value that a register-file slice actually
-/// stores.  This is the quantization applied on every f32 register write
-/// when a precision assignment is active.
-float quantize(float v, const FloatFormat& fmt);
 
 /// True if quantize(v, fmt) reproduces v bit-exactly (NaN compares true
 /// against NaN).
 bool exactly_representable(float v, const FloatFormat& fmt);
 
-/// Warp-wide quantization for the SoA interpreter: quantize the 32 lanes of
-/// `bits` (binary32 bit patterns) in place, lane l only when bit l of `mask`
-/// is set.  Bit-identical to calling quantize() per active lane; one call
-/// per warp write keeps encode/decode inlined in one translation unit.
-void quantize_warp(uint32_t* bits, uint32_t mask, const FloatFormat& fmt);
+/// Warp-wide quantize() of the 32 binary32 bit patterns in `bits`, in
+/// place.  Every lane is rounded, so the loop vectorizes; the caller's
+/// masked write-back discards inactive lanes.
+void quantize_warp(uint32_t* bits, const FloatFormat& fmt);
 
 }  // namespace gpurf::fp

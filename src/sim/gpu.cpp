@@ -529,15 +529,18 @@ class SmCore {
           return false;
         }
 
-        // Issue: functional execution happens now.
-        const exec::StepResult step = blk.exec->step(wc.warp_in_block);
+        // Issue: functional execution happens now, straight into the
+        // collector unit a non-control instruction is allocated.
+        exec::StepResult control;
+        exec::StepResult& step = is_control ? control : cus_[free_cu].step;
+        blk.exec->step(wc.warp_in_block, step);
         ++stats_.warp_insts;
         greedy = w;
         if (is_control) {
           handle_control(w, step);
           if (!(active_ & ~at_barrier_ & bit(w))) greedy = kNoIndex;
         } else {
-          allocate_cu(now, w, free_cu, step);
+          allocate_cu(now, w, free_cu);
         }
         return true;
       };
@@ -598,15 +601,16 @@ class SmCore {
     }
   }
 
-  void allocate_cu(uint64_t now, int w, int cu_slot,
-                   const exec::StepResult& step) {
+  /// Allocate free collector unit `cu_slot`, whose `step` the issue already
+  /// filled, to warp `w`.  Fetches past num_fetches are never read.
+  void allocate_cu(uint64_t now, int w, int cu_slot) {
     WarpCtx& wc = warps_[w];
-    const ir::Instruction& in = *step.inst;
     CuEntry& cu = cus_[cu_slot];
-    cu = CuEntry{};
+    const ir::Instruction& in = *cu.step.inst;
     cu_valid_ |= bit(cu_slot);
     cu.warp = w;
-    cu.step = step;
+    cu.num_fetches = cu.unserved = 0;
+    cu.conversions_left = 0;
     cu.alloc_cycle = now;
     cu.active_from =
         now + 1 + (cc_.enabled ? cc_.indirection_read_cycles : 0);
@@ -822,6 +826,7 @@ void validate_launch_spec(const GpuConfig& gpu, const CompressionConfig& comp,
               "collector_units " << gpu.collector_units << " outside [1, "
                                  << GpuConfig::kMaxCollectorUnits << "]");
   GPURF_CHECK(spec.kernel && spec.gmem, "incomplete launch spec");
+  if (spec.precision) spec.precision->validate(spec.kernel->num_regs());
   GPURF_CHECK(spec.regs_per_thread > 0, "regs_per_thread must be set");
   // Zero *blocks* is a legal degenerate launch (simulates in zero
   // cycles); a block shape with zero threads is malformed.

@@ -208,7 +208,8 @@ struct SimOptions {
 /// resources.  Bad input (zero SMs, warp schedulers, register banks,
 /// collector units or max warps per SM, or more than the GpuConfig::kMax*
 /// bounds; missing kernel/memory, unset register pressure, a block shape
-/// with zero threads) raises gpurf::Error via GPURF_CHECK — recoverable
+/// with zero threads, a precision map that is neither empty nor one
+/// Table-3 format per kernel register) raises gpurf::Error via GPURF_CHECK — recoverable
 /// at the Engine boundary, which converts it to a Status instead of
 /// terminating.  An *empty grid* (zero blocks) is legal: it is a
 /// degenerate launch that simulates in exactly zero cycles (ISSUE 5 fixed

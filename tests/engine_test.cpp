@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include "api/engine.hpp"
@@ -256,6 +257,49 @@ TEST(Engine, OutOfBoundGpuConfigIsStatus) {
   EXPECT_NE(r.status().to_string().find("warp_schedulers"),
             std::string::npos)
       << r.status().to_string();
+}
+
+/// A tuner probe that replays a workload's sample instance under a
+/// corrupted copy of every candidate map.
+class CorruptingProbe final : public tuning::QualityProbe {
+ public:
+  CorruptingProbe(const wl::Workload& w,
+                  std::function<void(exec::PrecisionMap&)> corrupt)
+      : w_(w), corrupt_(std::move(corrupt)) {}
+
+  double evaluate(const exec::PrecisionMap& pmap) override {
+    exec::PrecisionMap bad = pmap;
+    corrupt_(bad);
+    auto inst = w_.make_instance(wl::Scale::kSample, 0);
+    w_.run(inst, &bad);
+    return 0.0;
+  }
+  bool meets(double, quality::QualityLevel) const override { return true; }
+
+ private:
+  const wl::Workload& w_;
+  std::function<void(exec::PrecisionMap&)> corrupt_;
+};
+
+TEST(Engine, MalformedPrecisionMapIsFailedPrecondition) {
+  // The replay checks the map once per launch: a short map or a
+  // non-Table-3 format is a precondition failure, not an out-of-range
+  // read mid-replay.
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  auto w = engine.workload("DWT2D");
+  ASSERT_TRUE(w.ok());
+  const std::function<void(exec::PrecisionMap&)> corruptions[] = {
+      [](exec::PrecisionMap& m) { m.per_reg.pop_back(); },
+      [](exec::PrecisionMap& m) { m.per_reg[0] = fp::FloatFormat{24, 0, 23}; },
+  };
+  for (const auto& corrupt : corruptions) {
+    CorruptingProbe probe(**w, corrupt);
+    auto r = engine.tune((*w)->kernel(), probe, quality::QualityLevel::kHigh);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(r.status().to_string().find("precision map"), std::string::npos)
+        << r.status().to_string();
+  }
 }
 
 TEST(Engine, VerifyRejectsUndefinedReadsUnlessWaived) {

@@ -332,7 +332,7 @@ entry:
   BlockExec be(rig.ctx, 0, 0);
   StepResult r;
   do {
-    r = be.step(0);
+    be.step(0, r);
   } while (r.inst->op != gpurf::ir::Opcode::LD_GLOBAL);
   EXPECT_EQ(r.active_mask, 0xffffffffu);
   for (uint32_t l = 0; l < 4; ++l) EXPECT_EQ(r.addr[l], base + l + 2);
@@ -365,6 +365,33 @@ entry:
   const float stored = bits_float(rig.gmem.read(out));
   EXPECT_EQ(stored, gpurf::fp::quantize(0.3f, gpurf::fp::format_for_bits(16)));
   EXPECT_NE(stored, 0.3f);
+}
+
+TEST(Interp, RunFunctionalRejectsAMalformedPrecisionMap) {
+  Rig rig(R"(
+.kernel pm
+.param s32 out
+.reg s32 %x
+.reg s32 %a
+.reg f32 %v
+entry:
+  mov.s32 %x, %tid.x
+  mov.f32 %v, 0.3
+  add.s32 %a, %x, $out
+  st.global.f32 [%a], %v
+  ret
+)",
+          LaunchConfig{1, 1, 32, 1}, {});
+  rig.ctx.params = {rig.gmem.alloc(32)};
+  PrecisionMap pmap;
+  rig.ctx.precision = &pmap;
+  pmap.per_reg.assign(rig.k.num_regs() - 1, gpurf::fp::format_for_bits(16));
+  EXPECT_THROW(run_functional(rig.ctx), gpurf::Error);  // short
+  pmap.per_reg.assign(rig.k.num_regs(), gpurf::fp::format_for_bits(16));
+  pmap.per_reg[rig.k.find_reg("v")] = gpurf::fp::FloatFormat{24, 0, 23};
+  EXPECT_THROW(run_functional(rig.ctx), gpurf::Error);  // not Table-3
+  pmap.per_reg[rig.k.find_reg("v")] = gpurf::fp::format_for_bits(12);
+  EXPECT_NO_THROW(run_functional(rig.ctx));
 }
 
 TEST(Interp, RangeCheckAcceptsSoundRanges) {

@@ -1,9 +1,11 @@
 // Tests for the Table-3 reduced-precision float formats: encoding layout,
-// round-to-nearest-even, special values, denormal flush, and parameterized
-// properties across all seven formats.
+// round-to-nearest-even, special values, denormal flush, parameterized
+// properties across all seven formats, and the quantizer against the
+// branchy encode/decode oracle it replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bitutil.hpp"
@@ -176,6 +178,201 @@ TEST_P(FormatProperty, SignSymmetry) {
     EXPECT_EQ(float_bits(quantize(-v, fmt)),
               float_bits(-quantize(v, fmt)));
   }
+}
+
+// ---------------------------------------------------------- quantizer oracle
+//
+// quantize() is one branch-free rule on the binary32 bits.  The oracle is
+// the branchy encode/decode pair it replaced, kept here verbatim: for every
+// input, quantize(v) and quantize_warp must equal decode(encode(v)) of the
+// oracle, and encode(v) must equal the oracle's encode(v).
+
+uint32_t oracle_encode(float v, const FloatFormat& fmt) {
+  const uint32_t raw = float_bits(v);
+  if (fmt.is_fp32()) return raw;
+
+  const uint32_t sign = raw >> 31;
+  const int exp = static_cast<int>((raw >> 23) & 0xff);
+  const uint32_t man = raw & 0x7fffff;
+
+  const int mb = fmt.man_bits;
+  const uint32_t sign_shifted = sign << (fmt.total_bits - 1);
+  const uint32_t exp_mask_target = static_cast<uint32_t>(fmt.max_exp_field());
+
+  if (exp == 0xff) {
+    uint32_t out = sign_shifted | (exp_mask_target << mb);
+    if (man != 0) out |= (1u << (mb - 1));
+    return out;
+  }
+  if (exp == 0) return sign_shifted;
+
+  int e_target = exp - 127 + fmt.bias();
+  uint32_t m = man;
+  const int drop = 23 - mb;
+  uint32_t m_hi = m >> drop;
+  const uint32_t round_bit = (m >> (drop - 1)) & 1u;
+  const uint32_t sticky = m & low_mask(drop - 1);
+  if (round_bit && (sticky != 0 || (m_hi & 1u))) {
+    ++m_hi;
+    if (m_hi == (1u << mb)) {
+      m_hi = 0;
+      ++e_target;
+    }
+  }
+  if (e_target >= fmt.max_exp_field())
+    return sign_shifted | (exp_mask_target << mb);
+  if (e_target <= 0) return sign_shifted;
+  return sign_shifted | (static_cast<uint32_t>(e_target) << mb) | m_hi;
+}
+
+float oracle_decode(uint32_t bits, const FloatFormat& fmt) {
+  if (fmt.is_fp32()) return bits_float(bits);
+
+  const int mb = fmt.man_bits;
+  const uint32_t sign = (bits >> (fmt.total_bits - 1)) & 1u;
+  const uint32_t e = (bits >> mb) & static_cast<uint32_t>(fmt.max_exp_field());
+  const uint32_t m = bits & low_mask(mb);
+
+  if (e == 0) return bits_float(sign << 31);
+  if (e == static_cast<uint32_t>(fmt.max_exp_field())) {
+    if (m == 0) return bits_float((sign << 31) | 0x7f800000u);
+    return bits_float((sign << 31) | 0x7fc00000u);
+  }
+  const int exp32 = static_cast<int>(e) - fmt.bias() + 127;
+  const uint32_t man32 = m << (23 - mb);
+  return bits_float((sign << 31) | (static_cast<uint32_t>(exp32) << 23) |
+                    man32);
+}
+
+/// Feeds binary32 bit patterns through quantize, quantize_warp (32 at a
+/// time) and encode, counting disagreements with the oracle.
+class OracleCheck {
+ public:
+  explicit OracleCheck(const FloatFormat& fmt) : fmt_(fmt) {}
+
+  void add(uint32_t x) {
+    batch_[n_++] = x;
+    if (n_ == 32) flush();
+  }
+
+  void flush() {
+    uint32_t warp[32] = {};
+    std::copy(batch_, batch_ + n_, warp);
+    quantize_warp(warp, fmt_);
+    for (int l = 0; l < n_; ++l) {
+      const float v = bits_float(batch_[l]);
+      const uint32_t want =
+          float_bits(oracle_decode(oracle_encode(v, fmt_), fmt_));
+      if (float_bits(quantize(v, fmt_)) != want || warp[l] != want ||
+          encode(v, fmt_) != oracle_encode(v, fmt_)) {
+        if (mismatches_++ == 0) first_bad_ = batch_[l];
+      }
+    }
+    checked_ += static_cast<uint64_t>(n_);
+    n_ = 0;
+  }
+
+  void expect_clean() {
+    flush();
+    EXPECT_GT(checked_, 0u);
+    EXPECT_EQ(mismatches_, 0u)
+        << fmt_.total_bits << "-bit format, first mismatch at 0x" << std::hex
+        << first_bad_;
+  }
+
+ private:
+  FloatFormat fmt_;
+  uint32_t batch_[32] = {};
+  int n_ = 0;
+  uint64_t checked_ = 0;
+  uint64_t mismatches_ = 0;
+  uint32_t first_bad_ = 0;
+};
+
+class QuantizerOracle : public ::testing::TestWithParam<int> {};
+
+// Every exponent x every pattern of the low drop+1 mantissa bits (the kept
+// LSB, the round bit and the sticky bits: ties, carries into the exponent,
+// overflow to infinity, underflow to zero) under a few high mantissas, both
+// signs.  Past 12 low bits (the 16-, 12- and 8-bit formats) the top 12 of
+// them are swept and the bits below take 0, 1 or all ones; a one-off sweep
+// of all 2^32 patterns per format is too slow for a unit test.
+TEST_P(QuantizerOracle, EveryExponentAndRoundingPattern) {
+  const auto fmt = format_for_bits(GetParam());
+  const int low_bits = 23 - fmt.man_bits + 1;
+  const int swept = std::min(low_bits, 12);
+  const int tail = low_bits - swept;
+  const uint32_t high_max = low_mask(23 - low_bits);
+  const uint32_t tails[] = {0u, 1u, low_mask(tail)};
+  OracleCheck check(fmt);
+  for (uint32_t sign : {0u, 0x80000000u})
+    for (uint32_t e = 0; e < 256; ++e)
+      for (uint32_t high : {0u, 1u, high_max})
+        for (uint32_t p = 0; p < (1u << swept); ++p)
+          for (int t = 0; t < (tail > 0 ? 3 : 1); ++t)
+            check.add(sign | e << 23 | high << low_bits | p << tail |
+                      tails[t]);
+  check.expect_clean();
+}
+
+TEST_P(QuantizerOracle, SpecialValues) {
+  const auto fmt = format_for_bits(GetParam());
+  OracleCheck check(fmt);
+  const uint32_t magnitudes[] = {
+      0u,           // zero
+      1u,           // smallest binary32 denormal
+      0x00400000u,  // denormals
+      0x007fffffu,  // largest denormal
+      0x00800000u,  // smallest binary32 normal
+      0x7f7fffffu,  // largest binary32 normal
+      0x7f800000u,  // infinity
+      0x7fc00000u,  // quiet NaNs
+      0x7fc00001u,
+      0x7fffffffu,
+      0x7f800001u,  // signalling NaNs
+      0x7fa00000u,
+      0x7fbfffffu,
+  };
+  for (uint32_t m : magnitudes) {
+    check.add(m);
+    check.add(m | 0x80000000u);
+  }
+  check.expect_clean();
+}
+
+TEST_P(QuantizerOracle, XorshiftPatterns) {
+  const auto fmt = format_for_bits(GetParam());
+  OracleCheck check(fmt);
+  uint32_t x = 0x9e3779b9u ^ static_cast<uint32_t>(GetParam());
+  for (int i = 0; i < (1 << 20); ++i) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    check.add(x);
+  }
+  check.expect_clean();
+}
+
+INSTANTIATE_TEST_SUITE_P(NarrowWidths, QuantizerOracle,
+                         ::testing::Values(28, 24, 20, 16, 12, 8),
+                         [](const ::testing::TestParamInfo<int>& i) {
+                           return "bits" + std::to_string(i.param);
+                         });
+
+TEST(QuantizerOracle, Fp32WarpIsIdentity) {
+  uint32_t warp[32];
+  for (uint32_t l = 0; l < 32; ++l) warp[l] = 0x7f800001u + l * 0x01010101u;
+  uint32_t copy[32];
+  std::copy(warp, warp + 32, copy);
+  quantize_warp(warp, format_for_bits(32));
+  for (int l = 0; l < 32; ++l) EXPECT_EQ(warp[l], copy[l]);
+}
+
+TEST(Format, Table3Membership) {
+  for (const auto& f : table3_formats()) EXPECT_TRUE(is_table3(f));
+  EXPECT_FALSE(is_table3(FloatFormat{24, 0, 23}));
+  EXPECT_FALSE(is_table3(FloatFormat{32, 0, 23}));
+  EXPECT_FALSE(is_table3(FloatFormat{16, 4, 11}));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, FormatProperty,

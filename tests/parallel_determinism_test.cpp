@@ -131,12 +131,13 @@ struct RunOut {
   uint64_t insts = 0;
 };
 
-RunOut replay(const Workload& w, uint32_t variant, const RunOptions& opt) {
+RunOut replay(const Workload& w, uint32_t variant, const RunOptions& opt,
+              const gpurf::exec::PrecisionMap* pmap = nullptr) {
   RunOut r;
   RunOptions o = opt;
   o.thread_insts = &r.insts;
   auto inst = w.make_instance(Scale::kSample, variant);
-  r.out = w.run(inst, nullptr, nullptr, o);
+  r.out = w.run(inst, pmap, nullptr, o);
   return r;
 }
 
@@ -159,6 +160,34 @@ TEST(BlockParallelDeterminism, GmemImageAndInstCountMatchSerial) {
         replay(*w, 0, RunOptions{/*use_soa=*/true, /*block_parallel=*/true});
     expect_bitwise_equal(ref.out, par.out);
     EXPECT_EQ(ref.insts, par.insts) << w->spec().name;
+  }
+}
+
+TEST(BlockParallelDeterminism, NarrowMapReplayMatchesScalarSerial) {
+  // Every f32 write quantized through a uniform 12- or 16-bit map: the
+  // scalar per-lane path and the SoA warp quantizer must agree.  These
+  // kernels branch divergently, so partial masks reach the quantizer.
+  for (const auto& make : {make_dwt2d, make_hotspot, make_deferred}) {
+    const auto w = make();
+    const auto exact =
+        replay(*w, 0, RunOptions{/*use_soa=*/true, /*block_parallel=*/false});
+    for (int bits : {12, 16}) {
+      gpurf::exec::PrecisionMap pmap;
+      pmap.per_reg.assign(w->kernel().num_regs(),
+                          gpurf::fp::format_for_bits(bits));
+      const auto ref = replay(
+          *w, 0, RunOptions{/*use_soa=*/false, /*block_parallel=*/false},
+          &pmap);
+      PoolWidth width(4);
+      const auto par = replay(
+          *w, 0, RunOptions{/*use_soa=*/true, /*block_parallel=*/true},
+          &pmap);
+      expect_bitwise_equal(ref.out, par.out);
+      EXPECT_EQ(ref.insts, par.insts) << w->spec().name << " " << bits;
+      if (bits == 12) {  // DWT2D's values are exact at 16 bits
+        EXPECT_NE(ref.out, exact.out) << w->spec().name << ": map unused";
+      }
+    }
   }
 }
 

@@ -390,9 +390,10 @@ TEST(Simulate, ZeroThreadBlockShapeIsRejected) {
 // GpuConfig::kMax* bounds, so fields outside them must be rejected before
 // any state is built.
 
-/// Simulate a small axpy under `g`; returns the error message, or "" when
-/// the launch ran (and produced correct output).
-std::string axpy_under(const GpuConfig& g) {
+/// Simulate a small axpy under `g` (and `pmap`, when given); returns the
+/// error message, or "" when the launch ran (and produced correct output).
+std::string axpy_under(const GpuConfig& g,
+                       const gpurf::exec::PrecisionMap* pmap = nullptr) {
   const uint32_t n = 128 * 8;
   SimRig rig(kAxpy, LaunchConfig{8, 1, 128, 1});
   std::vector<float> x(n, 1.5f), y(n, 0.25f);
@@ -400,6 +401,7 @@ std::string axpy_under(const GpuConfig& g) {
   const uint32_t yb = rig.gmem.alloc_f32(y);
   rig.spec.params = {xb, yb, n};
   rig.spec.regs_per_thread = 8;
+  rig.spec.precision = pmap;
   try {
     simulate(g, CompressionConfig::baseline(), rig.spec);
   } catch (const gpurf::Error& e) {
@@ -466,6 +468,37 @@ TEST(ValidateGpuConfig, AcceptsTheUpperBounds) {
   g.collector_units = 1;
   g.max_warps_per_sm = 4;  // one 128-thread axpy block
   EXPECT_EQ(axpy_under(g), "");
+}
+
+// ------------------------------------------------ precision map validation
+//
+// The interpreter indexes the precision map unchecked on every f32 write,
+// so a launch checks it once: empty, or one Table-3 format per register.
+
+TEST(ValidatePrecisionMap, SimulateRejectsAShortMap) {
+  gpurf::exec::PrecisionMap pmap;
+  pmap.per_reg.assign(4, gpurf::fp::format_for_bits(16));  // axpy has 5
+  const std::string err = axpy_under(GpuConfig::fermi_gtx480(), &pmap);
+  EXPECT_NE(err.find("precision map has 4 entries for 5 registers"),
+            std::string::npos)
+      << err;
+}
+
+TEST(ValidatePrecisionMap, SimulateRejectsANonTable3Format) {
+  gpurf::exec::PrecisionMap pmap;
+  pmap.per_reg.assign(5, gpurf::fp::format_for_bits(16));
+  pmap.per_reg[2] = gpurf::fp::FloatFormat{24, 0, 23};
+  const std::string err = axpy_under(GpuConfig::fermi_gtx480(), &pmap);
+  EXPECT_NE(err.find("precision map entry 2 (24 bits) is not a Table-3"),
+            std::string::npos)
+      << err;
+}
+
+TEST(ValidatePrecisionMap, SimulateAcceptsEmptyAndFullMaps) {
+  gpurf::exec::PrecisionMap pmap;
+  EXPECT_EQ(axpy_under(GpuConfig::fermi_gtx480(), &pmap), "");
+  pmap.per_reg.assign(5, gpurf::fp::format_for_bits(16));  // 3.25 is exact
+  EXPECT_EQ(axpy_under(GpuConfig::fermi_gtx480(), &pmap), "");
 }
 
 // -------------------------------------------------- multi-SM sharded sim
