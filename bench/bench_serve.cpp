@@ -1,6 +1,6 @@
-// bench_serve — fleet-serving load harness (ISSUE 8 tentpole).  Hosts a
-// sharded EngineFleet behind a Server (TCP on an ephemeral loopback port
-// plus an AF_UNIX socket) inside this process, then drives it with an
+// bench_serve — serving load harness (ISSUE 8 tentpole).  Hosts one
+// Engine behind a Server (TCP on an ephemeral loopback port plus an
+// AF_UNIX socket) inside this process, then drives it with an
 // open-loop load generator: arrivals are pre-scheduled at a fixed rate and
 // latency is measured completion-minus-*scheduled*-arrival, so queueing
 // delay inside a saturated daemon is charged to the daemon, not hidden by
@@ -20,7 +20,7 @@
 //   3. saturation — closed-loop ping burst: ceiling ops/sec.
 //
 // Usage: bench_serve [--smoke] [--clients N] [--rate R] [--duration S]
-//                    [--engines N] [--threads N] [--port P] [--out PATH]
+//                    [--threads N] [--port P] [--out PATH]
 //
 // Emits BENCH_serve.json (or --out PATH) with the daemon flags, preflight
 // verdicts, per-op latency percentiles and the saturation throughput.
@@ -44,7 +44,6 @@
 #include "api/json.hpp"
 #include "api/metrics.hpp"
 #include "api/server.hpp"
-#include "serve/fleet.hpp"
 
 namespace api = gpurf::api;
 
@@ -153,7 +152,7 @@ gpurf::StatusOr<api::JsonValue> run_one(api::Client& c,
   return *res;
 }
 
-Preflight run_preflight(gpurf::serve::EngineFleet& fleet,
+Preflight run_preflight(gpurf::Engine& engine,
                         const std::string& socket_path, int tcp_port,
                         const std::string& workload) {
   Preflight pf;
@@ -205,7 +204,7 @@ Preflight run_preflight(gpurf::serve::EngineFleet& fleet,
     }
   }
 
-  // Gate 3: a second Server on the *same* fleet with a 1-submit bucket
+  // Gate 3: a second Server on the *same* Engine with a 1-submit bucket
   // and in-flight cap must reject the burst with RESOURCE_EXHAUSTED and a
   // usable retry_after_ms.
   {
@@ -214,7 +213,7 @@ Preflight run_preflight(gpurf::serve::EngineFleet& fleet,
     qopts.token_rate = 1.0;
     qopts.token_burst = 1.0;
     qopts.token_max_inflight = 1;
-    api::Server qserver(fleet, qopts);
+    api::Server qserver(engine, qopts);
     if (qserver.start().ok()) {
       api::Client qc("127.0.0.1", qserver.tcp_port());
       bool saw_reject = false;
@@ -250,7 +249,7 @@ Preflight run_preflight(gpurf::serve::EngineFleet& fleet,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  int clients = 128, engines = 2, threads = 0, port = 0;
+  int clients = 128, threads = 0, port = 0;
   double rate = 400.0, duration_s = 10.0;
   std::string out_path = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
@@ -264,14 +263,13 @@ int main(int argc, char** argv) {
     else if (arg("--clients")) { if (const char* v = next()) clients = std::atoi(v); }
     else if (arg("--rate")) { if (const char* v = next()) rate = std::atof(v); }
     else if (arg("--duration")) { if (const char* v = next()) duration_s = std::atof(v); }
-    else if (arg("--engines")) { if (const char* v = next()) engines = std::atoi(v); }
     else if (arg("--threads")) { if (const char* v = next()) threads = std::atoi(v); }
     else if (arg("--port")) { if (const char* v = next()) port = std::atoi(v); }
     else if (arg("--out")) { if (const char* v = next()) out_path = v; }
     else {
       std::fprintf(stderr,
                    "usage: bench_serve [--smoke] [--clients N] [--rate R] "
-                   "[--duration S] [--engines N] [--threads N] [--port P] "
+                   "[--duration S] [--threads N] [--port P] "
                    "[--out PATH]\n");
       return 2;
     }
@@ -282,21 +280,20 @@ int main(int argc, char** argv) {
     duration_s = std::min(duration_s, 2.0);
   }
   if (clients < 1) clients = 1;
-  if (engines < 1) engines = 1;
 
-  // Self-hosted daemon: a sharded fleet behind both transports.  The disk
+  // Self-hosted daemon: one Engine behind both transports.  The disk
   // cache stays off so the bench is hermetic and rerunnable.
   gpurf::EngineOptions eo;
   eo.use_disk_cache = false;
   if (threads > 0) eo.threads = threads;
-  gpurf::serve::EngineFleet fleet(eo, engines);
+  gpurf::Engine engine(eo);
 
   api::ServerOptions sopts;
   sopts.socket_path = "/tmp/gpurf_bench_serve_" +
                       std::to_string(static_cast<long>(::getpid())) + ".sock";
   sopts.listen_host = "127.0.0.1";
   sopts.listen_port = port;  // 0 = ephemeral
-  api::Server server(fleet, sopts);
+  api::Server server(engine, sopts);
   if (gpurf::Status st = server.start(); !st.ok()) {
     std::fprintf(stderr, "bench_serve: %s\n", st.to_string().c_str());
     return 1;
@@ -304,18 +301,18 @@ int main(int argc, char** argv) {
   const int tcp_port = server.tcp_port();
   const std::string daemon_flags =
       "--socket " + sopts.socket_path + " --listen 127.0.0.1:" +
-      std::to_string(tcp_port) + " --engines " + std::to_string(engines) +
+      std::to_string(tcp_port) +
       (threads > 0 ? " --threads " + std::to_string(threads) : "");
   const std::string workload = "DWT2D";
 
   std::printf("bench_serve: %d TCP clients @ %.0f req/s for %.1fs against "
-              "%d engine shard(s) on 127.0.0.1:%d (%s)\n",
-              clients, rate, duration_s, engines, tcp_port,
+              "an Engine of %d thread(s) on 127.0.0.1:%d (%s)\n",
+              clients, rate, duration_s, engine.options().threads, tcp_port,
               smoke ? "smoke" : "full");
 
   // ---- phase 1: preflight ------------------------------------------------
   const Preflight pf =
-      run_preflight(fleet, sopts.socket_path, tcp_port, workload);
+      run_preflight(engine, sopts.socket_path, tcp_port, workload);
   std::printf("preflight: tcp==unix %s | watch==wait %s | quota %s | "
               "histograms %s\n",
               pf.tcp_unix_identical ? "ok" : "FAIL",
@@ -399,7 +396,7 @@ int main(int argc, char** argv) {
 
   // Let in-flight submits settle before the saturation burst (and before
   // teardown) so their queue/tune/sim samples land in the histograms.
-  (void)fleet.drain_all(smoke ? 10000 : 30000);
+  (void)engine.drain(smoke ? 10000 : 30000);
 
   // ---- phase 3: closed-loop saturation -----------------------------------
   const double sat_seconds = smoke ? 1.0 : 3.0;
@@ -447,9 +444,10 @@ int main(int argc, char** argv) {
   if (json) {
     std::fprintf(json,
                  "{\n  \"smoke\": %s,\n  \"clients\": %d,\n"
-                 "  \"engines\": %d,\n  \"rate_per_sec\": %.1f,\n"
+                 "  \"threads\": %d,\n  \"rate_per_sec\": %.1f,\n"
                  "  \"duration_s\": %.1f,\n  \"daemon_flags\": \"%s\",\n",
-                 smoke ? "true" : "false", clients, engines, rate, duration_s,
+                 smoke ? "true" : "false", clients, engine.options().threads,
+                 rate, duration_s,
                  daemon_flags.c_str());
     std::fprintf(json,
                  "  \"preflight\": {\"tcp_unix_identical\": %s, "

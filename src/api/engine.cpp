@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <functional>
 #include <utility>
 
 #include "alloc/slice_alloc.hpp"
@@ -17,6 +19,30 @@
 
 namespace gpurf {
 
+namespace detail {
+
+/// One campaign kind's part of a seeded sweep.  Engine::run_sweep owns
+/// everything else and never looks at the kind.
+struct CampaignSweep {
+  std::string what;         ///< error prefix, e.g. "fault campaign 'DWT2D'"
+  Status precheck;          ///< non-OK rejects the request before any child
+  std::string empty_error;  ///< appended to `what` when there are no points
+  std::vector<double> axis;  ///< swept values (densities, flip rates)
+  int per_value = 1;         ///< seeded points per value (< 1 means 1)
+  uint64_t base_seed = 1;    ///< head of the splitmix64 seed stream
+  /// Records the point (value, derived seed); returns its child request.
+  std::function<SimRequest(double x, uint64_t seed)> add_point;
+  /// Copies child i's outcome into point i.  True cancels every later
+  /// child (they are still collected).
+  std::function<bool(size_t i, JobState state,
+                     const StatusOr<sim::SimResult>& res)>
+      collect;
+  /// Moves the finished result into the job (success only).
+  std::function<void(JobImpl& job)> publish;
+};
+
+}  // namespace detail
+
 namespace {
 
 EngineOptions resolve(EngineOptions o) {
@@ -29,8 +55,6 @@ EngineOptions resolve(EngineOptions o) {
   if (o.async_workers <= 0) o.async_workers = o.threads;
   if (o.max_inflight == 0)
     o.max_inflight = 2 * static_cast<size_t>(o.async_workers);
-  if (o.job_id_start == 0) o.job_id_start = 1;
-  if (o.job_id_stride == 0) o.job_id_stride = 1;
   o.run.thread_insts = nullptr;
   // Cancellation tokens are per-job, never session-wide configuration.
   o.run.cancel = nullptr;
@@ -72,15 +96,125 @@ uint64_t wall_us_since(detail::JobImpl::Clock::time_point start) {
           .count());
 }
 
+/// The fields every campaign point shares: the child's terminal state,
+/// then its cycles and IPC or its error.  True when the child succeeded
+/// (the caller copies its kind's report).
+template <class Point>
+bool copy_point(Point& pt, JobState state,
+                const StatusOr<sim::SimResult>& res) {
+  pt.state = state;
+  if (!res.ok()) {
+    pt.error = res.status().to_string();
+    return false;
+  }
+  pt.cycles = res->stats.cycles;
+  pt.ipc = res->stats.ipc();
+  return true;
+}
+
+/// Fault campaign: one child per (density, seeded fault map).  Faults
+/// live in the compressed register file, so a baseline-RF request is
+/// rejected before any child runs.  Submission is density-major, so a
+/// quality floor can act at each density boundary: once the mean quality
+/// delta of a completed density crosses it, the rest of the sweep is
+/// cancelled and the result marked truncated.
+detail::CampaignSweep fault_sweep(const detail::JobImpl& job) {
+  const FaultCampaignRequest& creq = job.req.campaign;
+  auto result = std::make_shared<FaultCampaignResult>();
+  result->workload = job.req.workload;
+  detail::CampaignSweep sw;
+  sw.what = "fault campaign '" + job.req.workload + "'";
+  if (creq.sim.mode == workloads::SimMode::kOriginal)
+    sw.precheck = Status::InvalidArgument(
+        sw.what + " requires a compressed mode (perfect|high)");
+  sw.empty_error = "has no density points";
+  sw.axis = creq.densities;
+  sw.per_value = creq.maps_per_density;
+  sw.base_seed = creq.base_seed;
+  const double quality_floor = creq.quality_floor;
+  sw.add_point = [result, quality_floor, tmpl = creq.sim](
+                     double density, uint64_t seed) {
+    FaultCampaignPoint pt;
+    pt.density = density;
+    pt.seed = seed;
+    result->points.push_back(pt);
+    SimRequest sr = tmpl;
+    sr.fault.seed = seed;
+    sr.fault.density = density;
+    // Early stopping needs every child scored, whatever the template said.
+    if (quality_floor > 0.0) sr.fault.score_quality = true;
+    return sr;
+  };
+  sw.collect = [result, quality_floor, delta_sum = 0.0, delta_n = 0](
+                   size_t i, JobState state,
+                   const StatusOr<sim::SimResult>& res) mutable {
+    FaultCampaignPoint& pt = result->points[i];
+    if (copy_point(pt, state, res)) pt.fault = res->fault;
+    if (quality_floor <= 0.0 || result->truncated) return false;
+    if (res.ok() && pt.fault.quality_scored) {
+      delta_sum += pt.fault.quality_delta;
+      ++delta_n;
+    }
+    const bool density_done = i + 1 == result->points.size() ||
+                              result->points[i + 1].density != pt.density;
+    if (!density_done) return false;
+    const bool crossed = delta_n > 0 && delta_sum / delta_n > quality_floor;
+    if (crossed) {
+      result->truncated = true;
+      result->truncated_at_density = pt.density;
+    }
+    delta_sum = 0.0;
+    delta_n = 0;
+    return crossed;
+  };
+  sw.publish = [result](detail::JobImpl& j) {
+    j.campaign_result = std::move(*result);
+  };
+  return sw;
+}
+
+/// Transient campaign: one child per (flip rate, seeded flip process).
+/// Any mode is legal — comparing the baseline RF's vulnerability against
+/// the compressed one is the point.
+detail::CampaignSweep transient_sweep(const detail::JobImpl& job) {
+  const TransientCampaignRequest& creq = job.req.transient;
+  auto result = std::make_shared<TransientCampaignResult>();
+  result->workload = job.req.workload;
+  detail::CampaignSweep sw;
+  sw.what = "transient campaign '" + job.req.workload + "'";
+  sw.empty_error = "has no flip-rate points";
+  sw.axis = creq.flip_rates;
+  sw.per_value = creq.seeds_per_rate;
+  sw.base_seed = creq.base_seed;
+  sw.add_point = [result, tmpl = creq.sim](double rate, uint64_t seed) {
+    TransientCampaignPoint pt;
+    pt.flips_per_mcycle = rate;
+    pt.seed = seed;
+    result->points.push_back(pt);
+    SimRequest sr = tmpl;
+    sr.soft.flips_per_mcycle = rate;
+    sr.soft.seed = seed;
+    return sr;
+  };
+  sw.collect = [result](size_t i, JobState state,
+                        const StatusOr<sim::SimResult>& res) {
+    TransientCampaignPoint& pt = result->points[i];
+    if (copy_point(pt, state, res)) pt.soft = res->soft;
+    return false;
+  };
+  sw.publish = [result](detail::JobImpl& j) {
+    j.transient_result = std::move(*result);
+  };
+  return sw;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
     : opts_(resolve(std::move(opts))),
       pool_(opts_.threads),
       pipelines_(pipeline_options(opts_, &pipeline_stats_)),
-      registry_(workloads::make_all_workloads()) {
-  next_job_id_ = opts_.job_id_start;
-}
+      registry_(workloads::make_all_workloads()) {}
 
 Engine::~Engine() {
   {
@@ -133,8 +267,8 @@ StatusOr<const workloads::PipelineResult*> Engine::pipeline_impl(
   // Internal.  GPURF_ASSERT (state corruption) still aborts by design.
   try {
     // Tune-stage latency (ISSUE 8): the memo get covers the whole tuning
-    // path on a miss and a map lookup on a hit, so fingerprint-affine
-    // routing shows up directly as a microsecond-bucket p50.
+    // path on a miss and a map lookup on a hit, so memo hits show up
+    // directly as a microsecond-bucket p50.
     const auto t0 = detail::JobImpl::Clock::now();
     const workloads::PipelineResult* pr = &pipelines_.get(w, cancel);
     metrics_.tune_hist.record_us(wall_us_since(t0));
@@ -548,16 +682,10 @@ Job Engine::submit(JobRequest req) {
     common::MutexLock lock(qmu_);
     metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
     GPURF_CHECK(!stopping_, "submit on a stopping Engine");
-    impl->id = next_job_id_;
-    next_job_id_ += opts_.job_id_stride;
+    impl->id = next_job_id_++;
     evict_terminal_jobs_locked();
     jobs_[impl->id] = impl;
-    campaign_threads_.emplace_back([this, impl] {
-      if (impl->req.kind == JobKind::kFaultCampaign)
-        run_campaign(impl);
-      else
-        run_transient_campaign(impl);
-    });
+    campaign_threads_.emplace_back([this, impl] { run_campaign(*impl); });
     return Job(impl);
   }
 
@@ -582,8 +710,7 @@ Job Engine::submit(JobRequest req) {
       slot_cv_.wait(lock.native(), has_slot);
     }
     GPURF_CHECK(!stopping_, "submit on a stopping Engine");
-    impl->id = next_job_id_;
-    next_job_id_ += opts_.job_id_stride;
+    impl->id = next_job_id_++;
     evict_terminal_jobs_locked();
     jobs_[impl->id] = impl;
     if (!rejected) {
@@ -735,236 +862,100 @@ void Engine::executor_loop() {
   }
 }
 
-bool Engine::start_campaign(detail::JobImpl& job) {
+void Engine::run_campaign(detail::JobImpl& job) {
   uint64_t seq = 0;
   {
     common::MutexLock lock(qmu_);
     seq = next_run_seq_++;
   }
+  Status st;
   if (job.start_running(seq)) {
     metrics_.queue_wait_hist.record_us(wall_us_since(job.submitted_at));
-    return true;
-  }
-  // Cancelled (or deadline-expired) before the orchestrator started.
-  const common::StopReason r = job.token.stop_reason();
-  const bool dl = r == common::StopReason::kDeadline;
-  const JobState terminal =
-      dl ? JobState::kDeadlineExceeded : JobState::kCancelled;
-  metrics_.record_terminal(terminal, false, wall_us_since(job.submitted_at));
-  job.finalize(terminal,
-               dl ? Status::DeadlineExceeded("deadline before campaign start")
-                  : Status::Cancelled("cancelled before campaign start"));
-  return false;
-}
-
-void Engine::run_campaign(std::shared_ptr<detail::JobImpl> job) {
-  if (!start_campaign(*job)) return;
-
-  const FaultCampaignRequest& creq = job->req.campaign;
-  // Faults live in the compressed register file: a campaign over the
-  // baseline RF is meaningless, so reject it before spawning children
-  // instead of letting every child fail with the same error.
-  if (creq.sim.mode == workloads::SimMode::kOriginal) {
-    const Status bad = Status::InvalidArgument(
-        "fault campaign '" + job->req.workload +
-        "' requires a compressed mode (perfect|high)");
-    const JobState terminal = terminal_state_for(bad);
-    metrics_.record_terminal(terminal, false,
-                             wall_us_since(job->submitted_at));
-    job->finalize(terminal, bad);
-    return;
-  }
-  const int maps_per = std::max(1, creq.maps_per_density);
-  job->token.campaign_maps_total.store(
-      static_cast<int>(creq.densities.size()) * maps_per,
-      std::memory_order_relaxed);
-  job->token.set_stage(common::JobStage::kSimulating);
-
-  // Submit one child simulate job per (density, map).  Per-map seeds are
-  // a deterministic splitmix64 stream off base_seed, so the same request
-  // reruns the exact same maps.  Children inherit the parent's priority
-  // and the remainder of its deadline.
-  FaultCampaignResult result;
-  result.workload = job->req.workload;
-  std::vector<Job> children;
-  Status st;
-  try {
-    uint64_t seed_state = creq.base_seed;
-    for (double density : creq.densities) {
-      for (int m = 0; m < maps_per; ++m) {
-        job->token.checkpoint();  // stop submitting once cancelled
-        FaultCampaignPoint pt;
-        pt.density = density;
-        pt.seed = splitmix64(seed_state);
-        SimRequest sr = creq.sim;
-        sr.fault.seed = pt.seed;
-        sr.fault.density = density;
-        // Early stopping needs every child scored, whatever the template
-        // said.
-        if (creq.quality_floor > 0.0) sr.fault.score_quality = true;
-        JobRequest child =
-            JobRequest::simulate(job->req.workload, sr)
-                .with_priority(job->req.priority);
-        if (job->token.has_deadline()) {
-          const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-              job->token.deadline() - detail::JobImpl::Clock::now());
-          child.deadline_ms = std::max<int64_t>(1, left.count());
-        }
-        result.points.push_back(pt);
-        children.push_back(submit(std::move(child)));
-      }
-    }
-
-    // Collect in submission order, polling the parent token so a
-    // campaign cancel propagates to every child at the next slice.
-    // Submission order is density-major, so early stopping can act at
-    // each density boundary: once the mean quality delta of a completed
-    // density crosses the floor, the remaining (higher-density) children
-    // are cancelled cooperatively and the result is marked truncated.
-    double delta_sum = 0.0;
-    int delta_n = 0;
-    for (size_t i = 0; i < children.size(); ++i) {
-      while (!children[i].wait_for(std::chrono::milliseconds(50)))
-        job->token.checkpoint();
-      FaultCampaignPoint& pt = result.points[i];
-      pt.state = children[i].state();
-      auto child_res = children[i].sim_result();
-      if (child_res.ok()) {
-        pt.fault = child_res->fault;
-        pt.cycles = child_res->stats.cycles;
-        pt.ipc = child_res->stats.ipc();
-      } else {
-        pt.error = child_res.status().to_string();
-      }
-      job->token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
-      if (creq.quality_floor > 0.0 && !result.truncated) {
-        if (child_res.ok() && pt.fault.quality_scored) {
-          delta_sum += pt.fault.quality_delta;
-          ++delta_n;
-        }
-        const bool density_done =
-            i + 1 == result.points.size() ||
-            result.points[i + 1].density != pt.density;
-        if (density_done) {
-          if (delta_n > 0 && delta_sum / delta_n > creq.quality_floor) {
-            result.truncated = true;
-            result.truncated_at_density = pt.density;
-            for (size_t j = i + 1; j < children.size(); ++j)
-              children[j].cancel();
-          }
-          delta_sum = 0.0;
-          delta_n = 0;
-        }
-      }
-    }
-  } catch (const common::CancelledError& e) {
-    st = stop_status(e, "fault campaign '" + job->req.workload + "'");
-  } catch (const Error& e) {
-    // submit() on a stopping Engine, or a child rejection.
-    st = Status::Cancelled("fault campaign '" + job->req.workload +
-                           "' aborted: " + e.what());
-  } catch (const std::exception& e) {
-    st = Status::Internal("fault campaign '" + job->req.workload + "': " +
-                          e.what());
-  }
-  if (!st.ok()) {
-    // Propagate the stop to every child before finalizing the parent, so
-    // a cancelled campaign never leaves orphan work running.
-    for (auto& c : children) c.cancel();
-    for (auto& c : children) c.wait();
-  } else if (result.points.empty()) {
-    st = Status::InvalidArgument("fault campaign '" + job->req.workload +
-                                 "' has no density points");
+    detail::CampaignSweep sweep = job.req.kind == JobKind::kFaultCampaign
+                                      ? fault_sweep(job)
+                                      : transient_sweep(job);
+    st = run_sweep(job, sweep);
+  } else if (job.token.stop_reason() == common::StopReason::kDeadline) {
+    st = Status::DeadlineExceeded("deadline before campaign start");
   } else {
-    job->campaign_result = std::move(result);
+    st = Status::Cancelled("cancelled before campaign start");
   }
   const JobState terminal = terminal_state_for(st);
-  metrics_.record_terminal(terminal, st.ok(),
-                           wall_us_since(job->submitted_at));
-  job->finalize(terminal, std::move(st));
+  metrics_.record_terminal(terminal, st.ok(), wall_us_since(job.submitted_at));
+  job.finalize(terminal, std::move(st));
 }
 
-void Engine::run_transient_campaign(std::shared_ptr<detail::JobImpl> job) {
-  if (!start_campaign(*job)) return;
+Status Engine::run_sweep(detail::JobImpl& job, detail::CampaignSweep& sweep) {
+  if (!sweep.precheck.ok()) return sweep.precheck;
+  // The point count is computed in 64 bits: campaign_maps_total is an
+  // int, and a wire request can ask for more points than that holds.
+  const int per = std::max(1, sweep.per_value);
+  const int64_t total = static_cast<int64_t>(sweep.axis.size()) * per;
+  if (total == 0)
+    return Status::InvalidArgument(sweep.what + " " + sweep.empty_error);
+  if (total > INT_MAX)
+    return Status::InvalidArgument(sweep.what + " has " +
+                                   std::to_string(total) + " points (at most " +
+                                   std::to_string(INT_MAX) + ")");
+  job.token.campaign_maps_total.store(static_cast<int>(total),
+                                      std::memory_order_relaxed);
+  job.token.set_stage(common::JobStage::kSimulating);
 
-  const TransientCampaignRequest& creq = job->req.transient;
-  const int per = std::max(1, creq.seeds_per_rate);
-  job->token.campaign_maps_total.store(
-      static_cast<int>(creq.flip_rates.size()) * per,
-      std::memory_order_relaxed);
-  job->token.set_stage(common::JobStage::kSimulating);
-
-  // One child simulate job per (flip rate, seed).  Seeds are a
-  // deterministic splitmix64 stream off base_seed, so a campaign reruns
-  // the exact same flip traces; children inherit the parent's priority and
-  // the remainder of its deadline.  Any mode is legal — comparing the
-  // baseline RF's vulnerability against the compressed one is the point.
-  TransientCampaignResult result;
-  result.workload = job->req.workload;
+  // Submit one child simulate job per (axis value, seed).  Seeds are a
+  // deterministic splitmix64 stream off base_seed, so the same request
+  // reruns the exact same points.  Children inherit the parent's priority
+  // and the remainder of its deadline.
   std::vector<Job> children;
   Status st;
   try {
-    uint64_t seed_state = creq.base_seed;
-    for (double rate : creq.flip_rates) {
-      for (int s = 0; s < per; ++s) {
-        job->token.checkpoint();  // stop submitting once cancelled
-        TransientCampaignPoint pt;
-        pt.flips_per_mcycle = rate;
-        pt.seed = splitmix64(seed_state);
-        SimRequest sr = creq.sim;
-        sr.soft.flips_per_mcycle = rate;
-        sr.soft.seed = pt.seed;
-        JobRequest child = JobRequest::simulate(job->req.workload, sr)
-                               .with_priority(job->req.priority);
-        if (job->token.has_deadline()) {
+    uint64_t seed_state = sweep.base_seed;
+    for (double x : sweep.axis) {
+      for (int k = 0; k < per; ++k) {
+        job.token.checkpoint();  // stop submitting once cancelled
+        JobRequest child =
+            JobRequest::simulate(job.req.workload,
+                                 sweep.add_point(x, splitmix64(seed_state)))
+                .with_priority(job.req.priority);
+        if (job.token.has_deadline()) {
           const auto left =
               std::chrono::duration_cast<std::chrono::milliseconds>(
-                  job->token.deadline() - detail::JobImpl::Clock::now());
+                  job.token.deadline() - detail::JobImpl::Clock::now());
           child.deadline_ms = std::max<int64_t>(1, left.count());
         }
-        result.points.push_back(pt);
         children.push_back(submit(std::move(child)));
       }
     }
 
+    // Collect in submission order, polling the parent token so a campaign
+    // cancel propagates to every child at the next slice.  A kind's
+    // per-point step may end the sweep early: the children after it are
+    // cancelled cooperatively and still collected.
     for (size_t i = 0; i < children.size(); ++i) {
       while (!children[i].wait_for(std::chrono::milliseconds(50)))
-        job->token.checkpoint();
-      TransientCampaignPoint& pt = result.points[i];
-      pt.state = children[i].state();
-      auto child_res = children[i].sim_result();
-      if (child_res.ok()) {
-        pt.soft = child_res->soft;
-        pt.cycles = child_res->stats.cycles;
-        pt.ipc = child_res->stats.ipc();
-      } else {
-        pt.error = child_res.status().to_string();
-      }
-      job->token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
+        job.token.checkpoint();
+      const bool cancel_rest =
+          sweep.collect(i, children[i].state(), children[i].sim_result());
+      job.token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
+      if (cancel_rest)
+        for (size_t j = i + 1; j < children.size(); ++j) children[j].cancel();
     }
   } catch (const common::CancelledError& e) {
-    st = stop_status(e, "transient campaign '" + job->req.workload + "'");
+    st = stop_status(e, sweep.what);
   } catch (const Error& e) {
     // submit() on a stopping Engine, or a child rejection.
-    st = Status::Cancelled("transient campaign '" + job->req.workload +
-                           "' aborted: " + e.what());
+    st = Status::Cancelled(sweep.what + " aborted: " + e.what());
   } catch (const std::exception& e) {
-    st = Status::Internal("transient campaign '" + job->req.workload +
-                          "': " + e.what());
+    st = Status::Internal(sweep.what + ": " + e.what());
   }
   if (!st.ok()) {
+    // Propagate the stop to every child before the parent finalizes, so a
+    // cancelled campaign never leaves orphan work running.
     for (auto& c : children) c.cancel();
     for (auto& c : children) c.wait();
-  } else if (result.points.empty()) {
-    st = Status::InvalidArgument("transient campaign '" + job->req.workload +
-                                 "' has no flip-rate points");
-  } else {
-    job->transient_result = std::move(result);
+    return st;
   }
-  const JobState terminal = terminal_state_for(st);
-  metrics_.record_terminal(terminal, st.ok(),
-                           wall_us_since(job->submitted_at));
-  job->finalize(terminal, std::move(st));
+  sweep.publish(job);
+  return st;
 }
 
 Status Engine::drain(int64_t budget_ms) {
@@ -1063,51 +1054,6 @@ MetricsSnapshot Engine::metrics_snapshot() const {
 
 std::string Engine::metrics_json() const {
   return api::to_json(metrics_snapshot());
-}
-
-// ------------------------------------------------- legacy futures (PR 3)
-
-std::future<StatusOr<workloads::PipelineResult>> Engine::submit_pipeline(
-    std::string name) {
-  Job job = submit(JobRequest::pipeline(std::move(name)));
-  auto impl = job.impl_;
-  auto prom = std::make_shared<
-      std::promise<StatusOr<workloads::PipelineResult>>>();
-  auto fut = prom->get_future();
-  impl->add_listener([impl, prom] {
-    std::unique_lock<std::mutex> lk(impl->mu);
-    StatusOr<workloads::PipelineResult> out =
-        impl->pipeline_result
-            ? StatusOr<workloads::PipelineResult>(*impl->pipeline_result)
-            : StatusOr<workloads::PipelineResult>(
-                  impl->status.ok()
-                      ? Status::Internal("job finished without a result")
-                      : impl->status);
-    lk.unlock();
-    prom->set_value(std::move(out));
-  });
-  return fut;
-}
-
-std::future<StatusOr<sim::SimResult>> Engine::submit_simulate(std::string name,
-                                                              SimRequest req) {
-  Job job = submit(JobRequest::simulate(std::move(name), req));
-  auto impl = job.impl_;
-  auto prom = std::make_shared<std::promise<StatusOr<sim::SimResult>>>();
-  auto fut = prom->get_future();
-  impl->add_listener([impl, prom] {
-    std::unique_lock<std::mutex> lk(impl->mu);
-    StatusOr<sim::SimResult> out =
-        impl->sim_result
-            ? StatusOr<sim::SimResult>(*impl->sim_result)
-            : StatusOr<sim::SimResult>(
-                  impl->status.ok()
-                      ? Status::Internal("job finished without a result")
-                      : impl->status);
-    lk.unlock();
-    prom->set_value(std::move(out));
-  });
-  return fut;
 }
 
 }  // namespace gpurf

@@ -39,18 +39,15 @@
 // pass/evaluations, simulated cycles).  The executor's in-flight set is
 // bounded by EngineOptions::max_inflight: a deadline-less submit blocks
 // for a slot (backpressure), a submit with a deadline gives up when the
-// deadline passes and returns the job already in kDeadlineExceeded.  The
-// PR 3 futures API (submit_pipeline / submit_simulate) survives as a thin
-// shim over submit().  Engine-level metrics (cache hit counters, queue
-// depth, jobs by terminal state, wall times) export via metrics_json();
+// deadline passes and returns the job already in kDeadlineExceeded.
+// Engine-level metrics (cache hit counters, queue depth, jobs by terminal
+// state, wall times) export via metrics_json();
 // api/server.hpp speaks the whole surface over a local socket (gpurfd).
 //
 // The legacy free functions (workloads::run_pipeline, ...) remain as thin
 // shims over Engine::shared(), so existing callers migrate incrementally.
 
 #include <condition_variable>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -72,6 +69,10 @@
 #include "workloads/workload.hpp"
 
 namespace gpurf {
+
+namespace detail {
+struct CampaignSweep;  // one campaign kind's part of a sweep (engine.cpp)
+}  // namespace detail
 
 /// Construction-time configuration.  Every field left at its default is
 /// resolved once in the Engine constructor (environment variables, then
@@ -112,13 +113,6 @@ struct EngineOptions {
   /// submitters with a deadline fail over to kDeadlineExceeded once it
   /// passes.
   size_t max_inflight = 0;
-  /// Job-id space partitioning (ISSUE 8): ids are assigned start,
-  /// start+stride, start+2*stride, ...  A sharded daemon gives shard i of
-  /// N the pair (i+1, N), so every job id names its shard as
-  /// (id-1) % N and job-addressed ops route statelessly.  Defaults keep
-  /// the dense 1,2,3,... sequence single-Engine callers have always seen.
-  uint64_t job_id_start = 1;
-  uint64_t job_id_stride = 1;
 
   // Builder-style setters, chainable:
   //   Engine e(EngineOptions().with_threads(4).with_disk_cache(false));
@@ -140,11 +134,6 @@ struct EngineOptions {
   EngineOptions& with_sim_shards(int n) { sim_shards = n; return *this; }
   EngineOptions& with_async_workers(int n) { async_workers = n; return *this; }
   EngineOptions& with_max_inflight(size_t n) { max_inflight = n; return *this; }
-  EngineOptions& with_job_ids(uint64_t start, uint64_t stride) {
-    job_id_start = start;
-    job_id_stride = stride;
-    return *this;
-  }
 };
 
 class Engine {
@@ -258,7 +247,8 @@ class Engine {
 
   /// Look up a previously submitted job by id (NotFound once it has been
   /// evicted — the registry retains all live jobs and the most recent
-  /// terminal ones).
+  /// terminal ones).  Ids run 1, 2, 3, ... in submission order, campaign
+  /// children included.
   StatusOr<Job> find_job(uint64_t id) const;
 
   /// Jobs currently queued or running on the async executor.
@@ -279,21 +269,10 @@ class Engine {
   /// latency summaries.  Embedded in every gpurfd response envelope.
   std::string metrics_json() const;
 
-  /// The same snapshot as a value, for shard aggregation (ISSUE 8): a
-  /// sharded daemon sums the per-Engine snapshots with
-  /// MetricsSnapshot::operator+= before serialising.  The `serialize`
-  /// histogram is the Server's to fill; it comes back empty here.
+  /// The same snapshot as a value.  The `serialize` histogram is the
+  /// Server's to fill (it adds its own before serialising); it comes back
+  /// empty here.
   MetricsSnapshot metrics_snapshot() const;
-
-  // ------------------------------------------------- legacy futures (PR 3)
-
-  /// Thin shims over submit(): same signatures and result values as the
-  /// PR 3 API.  Results are value snapshots (safe to consume after other
-  /// submissions).  Blocks while max_inflight jobs are queued or running.
-  std::future<StatusOr<workloads::PipelineResult>> submit_pipeline(
-      std::string name);
-  std::future<StatusOr<sim::SimResult>> submit_simulate(std::string name,
-                                                        SimRequest req = {});
 
  private:
   /// Bind this Engine's pool + analysis cache to the calling thread for
@@ -321,12 +300,13 @@ class Engine {
   void ensure_executor();
   void executor_loop();
   void run_job(detail::JobImpl& job);
-  void run_campaign(std::shared_ptr<detail::JobImpl> job);
-  void run_transient_campaign(std::shared_ptr<detail::JobImpl> job);
-  /// Shared orchestrator prologue: start the job as running; on failure
-  /// (cancelled / deadline before the coordinator span up) finalize it and
-  /// return false.
-  bool start_campaign(detail::JobImpl& job);
+  /// Campaign orchestrator thread body: starts the job, runs its kind's
+  /// sweep through run_sweep and finalizes it.
+  void run_campaign(detail::JobImpl& job);
+  /// The seeded sweep driver shared by every campaign kind: child
+  /// submission with the rest of the parent's deadline, collection with
+  /// checkpoint polling, orphan cancellation and the status mapping.
+  Status run_sweep(detail::JobImpl& job, detail::CampaignSweep& sweep);
   void release_slot();
   void evict_terminal_jobs_locked() GPURF_REQUIRES(qmu_);
 

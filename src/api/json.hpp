@@ -6,6 +6,8 @@
 // and intentionally flat: every field mirrors the corresponding struct so
 // snapshots stay diffable against header definitions.
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -87,10 +89,9 @@ std::string to_json(const TransientCampaignResult& r);
 /// {"op":"histograms"}.
 std::string to_json(const HistogramSnapshot& h, bool full);
 
-/// Engine/fleet metrics snapshot (ISSUE 8): the flat counter object every
+/// Engine metrics snapshot (ISSUE 8): the flat counter object every
 /// envelope has carried since ISSUE 4, plus per-stage histogram
-/// summaries.  Shard-aggregated via MetricsSnapshot::operator+= before
-/// serialisation on multi-Engine daemons.
+/// summaries.
 std::string to_json(const MetricsSnapshot& m);
 
 /// Kernel lint report (PR 9): counts, pressures, undefined reads, dead
@@ -139,8 +140,13 @@ class JsonValue {
   double as_double(double dflt = 0.0) const {
     return kind == Kind::kNumber ? num_v : dflt;
   }
+  /// Truncates toward zero and saturates at the int64 range: converting
+  /// an out-of-range double (a wire {"job":1e30}) is undefined behaviour.
   int64_t as_int(int64_t dflt = 0) const {
-    return kind == Kind::kNumber ? static_cast<int64_t>(num_v) : dflt;
+    if (kind != Kind::kNumber || std::isnan(num_v)) return dflt;
+    if (num_v >= 0x1p63) return INT64_MAX;
+    if (num_v <= -0x1p63) return INT64_MIN;
+    return static_cast<int64_t>(num_v);
   }
   bool as_bool(bool dflt = false) const {
     return kind == Kind::kBool ? bool_v : dflt;

@@ -1,6 +1,6 @@
 #pragma once
-// Engine-level serving metrics (ISSUE 4 satellite; latency histograms and
-// fleet aggregation since ISSUE 8).
+// Engine-level serving metrics (ISSUE 4 satellite; latency histograms
+// since ISSUE 8).
 //
 // Plain atomic counters, bumped on the hot paths with relaxed ordering and
 // read without synchronisation: a snapshot is a set of independently-read
@@ -16,11 +16,10 @@
 // it and can safely outlive their Engine.
 //
 // ISSUE 8 adds per-stage latency histograms: fixed-bucket log2 histograms
-// over microseconds, recorded lock-free and merged shard-by-shard for the
-// multi-Engine daemon.  The Engine records queue wait (submit -> start),
-// tune (pipeline memo get, hit or miss) and sim (the cycle-level
-// simulation proper); the Server records serialize (request line ->
-// response line built).  Every response envelope carries the summary
+// over microseconds, recorded lock-free.  The Engine records queue wait
+// (submit -> start), tune (pipeline memo get, hit or miss) and sim (the
+// cycle-level simulation proper); the Server records serialize (request
+// line -> response line built).  Every response envelope carries the summary
 // percentiles; {"op":"histograms"} exports the full buckets.
 
 #include <array>
@@ -32,11 +31,10 @@
 
 namespace gpurf {
 
-/// Value snapshot of a LatencyHistogram: mergeable (bucket-wise sum), with
-/// percentile estimation off the bucket upper bounds.  Bucket b holds
-/// samples whose microsecond value has bit_width b, i.e. us in
-/// [2^(b-1), 2^b); bucket 0 holds exact zeros and the last bucket is
-/// open-ended.  Percentiles therefore over-estimate by at most 2x — the
+/// Value snapshot of a LatencyHistogram, with percentile estimation off
+/// the bucket upper bounds.  Bucket b holds samples whose microsecond
+/// value has bit_width b, i.e. us in [2^(b-1), 2^b); bucket 0 holds exact
+/// zeros and the last bucket is open-ended.  Percentiles therefore over-estimate by at most 2x — the
 /// right bias for tail-latency tripwires.
 struct HistogramSnapshot {
   static constexpr int kBuckets = 32;
@@ -51,13 +49,6 @@ struct HistogramSnapshot {
            : b >= kBuckets - 1
                ? ~uint64_t{0}
                : (uint64_t{1} << b) - 1;
-  }
-
-  HistogramSnapshot& merge(const HistogramSnapshot& o) {
-    for (int b = 0; b < kBuckets; ++b) buckets[b] += o.buckets[b];
-    count += o.count;
-    sum_us += o.sum_us;
-    return *this;
   }
 
   /// p in [0,1]; returns the upper bound of the bucket containing the
@@ -112,10 +103,9 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_us_{0};
 };
 
-/// Point-in-time value snapshot of one Engine's (or, summed, one fleet's)
-/// serving metrics.  operator+= is the shard-aggregation used by
-/// {"op":"metrics"} on a sharded daemon; api::to_json(MetricsSnapshot)
-/// keeps the field names every envelope has carried since ISSUE 4.
+/// Point-in-time value snapshot of one Engine's serving metrics;
+/// api::to_json(MetricsSnapshot) keeps the field names every envelope has
+/// carried since ISSUE 4.
 struct MetricsSnapshot {
   // Cache layer.
   uint64_t pipeline_memo_hits = 0;
@@ -123,7 +113,7 @@ struct MetricsSnapshot {
   uint64_t disk_cache_hits = 0;
   uint64_t disk_cache_stale_rejections = 0;
   uint64_t disk_cache_write_failures = 0;
-  uint64_t disk_cache_disabled = 0;  ///< shards with the latch tripped
+  uint64_t disk_cache_disabled = 0;  ///< 1 once the latch has tripped
   uint64_t analysis_cache_hits = 0;
   uint64_t analysis_cache_misses = 0;
   // Queue / lifecycle.
@@ -137,36 +127,11 @@ struct MetricsSnapshot {
   uint64_t jobs_deadline_exceeded = 0;
   uint64_t job_wall_us_total = 0;
   // Per-stage latency (ISSUE 8).  serialize is recorded by the Server and
-  // merged in at export time; it stays empty on bare-Engine snapshots.
+  // filled in at export time; it stays empty on bare-Engine snapshots.
   HistogramSnapshot queue_wait;
   HistogramSnapshot tune;
   HistogramSnapshot sim;
   HistogramSnapshot serialize;
-
-  MetricsSnapshot& operator+=(const MetricsSnapshot& o) {
-    pipeline_memo_hits += o.pipeline_memo_hits;
-    pipeline_memo_misses += o.pipeline_memo_misses;
-    disk_cache_hits += o.disk_cache_hits;
-    disk_cache_stale_rejections += o.disk_cache_stale_rejections;
-    disk_cache_write_failures += o.disk_cache_write_failures;
-    disk_cache_disabled += o.disk_cache_disabled;
-    analysis_cache_hits += o.analysis_cache_hits;
-    analysis_cache_misses += o.analysis_cache_misses;
-    queue_depth += o.queue_depth;
-    jobs_running += o.jobs_running;
-    inflight += o.inflight;
-    jobs_submitted += o.jobs_submitted;
-    jobs_done += o.jobs_done;
-    jobs_failed += o.jobs_failed;
-    jobs_cancelled += o.jobs_cancelled;
-    jobs_deadline_exceeded += o.jobs_deadline_exceeded;
-    job_wall_us_total += o.job_wall_us_total;
-    queue_wait.merge(o.queue_wait);
-    tune.merge(o.tune);
-    sim.merge(o.sim);
-    serialize.merge(o.serialize);
-    return *this;
-  }
 };
 
 struct EngineMetrics {
@@ -183,8 +148,7 @@ struct EngineMetrics {
 
   // Per-stage latency histograms (ISSUE 8): queue wait covers submit ->
   // start for every job that ran; tune covers each pipeline memo get
-  // (hits land in the microsecond buckets, which is how fingerprint-
-  // affine routing becomes visible); sim covers the cycle-level
+  // (hits land in the microsecond buckets); sim covers the cycle-level
   // simulation proper.
   LatencyHistogram queue_wait_hist;
   LatencyHistogram tune_hist;

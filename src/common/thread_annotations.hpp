@@ -2,10 +2,10 @@
 // Clang Thread Safety Analysis wiring (ISSUE 10 satellite): capability
 // macros plus an annotated Mutex/MutexLock pair so -Wthread-safety can
 // statically check the lock discipline of the Engine job queue, the
-// Server connection registry, the PipelineCache computing latch and the
-// EngineFleet shard table.  Under non-Clang compilers every macro expands
-// to nothing and Mutex degrades to a plain std::mutex wrapper; the CI
-// clang job builds with -Werror=thread-safety as the enforcement point.
+// Server connection registry and the PipelineCache computing latch.
+// Under non-Clang compilers every macro expands to nothing and Mutex
+// degrades to a plain std::mutex wrapper; the CI clang job builds with
+// -Werror=thread-safety as the enforcement point.
 //
 // Condition variables: std::condition_variable needs the raw
 // std::unique_lock<std::mutex>, which MutexLock::native() exposes.  A

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <clocale>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -20,7 +21,6 @@
 #include "api/engine.hpp"
 #include "api/json.hpp"
 #include "api/server.hpp"
-#include "serve/fleet.hpp"
 
 namespace gpurf {
 namespace {
@@ -134,6 +134,19 @@ TEST(JsonParse, EveryEmittedSnapshotParses) {
   auto pj = engine.pipeline_json("Hotspot");
   ASSERT_TRUE(pj.ok());
   EXPECT_TRUE(api::parse_json(*pj).ok());
+}
+
+TEST(JsonParse, AsIntSaturatesOutOfRangeNumbers) {
+  // A double outside the int64 range must saturate: the plain conversion
+  // is undefined behaviour (UBSan's float-cast-overflow).
+  auto v = parse_ok(R"({"big":1e30,"small":-1e30,"max":9223372036854775807,)"
+                    R"("min":-9223372036854775808,"frac":-2.7,"s":"7"})");
+  EXPECT_EQ(v.get("big")->as_int(), INT64_MAX);
+  EXPECT_EQ(v.get("small")->as_int(), INT64_MIN);
+  EXPECT_EQ(v.get("max")->as_int(), INT64_MAX);  // 2^63 once a double
+  EXPECT_EQ(v.get("min")->as_int(), INT64_MIN);
+  EXPECT_EQ(v.get("frac")->as_int(), -2);  // truncates toward zero
+  EXPECT_EQ(v.get("s")->as_int(5), 5);     // not a number: the default
 }
 
 // ------------------------------------------------ request handling seam
@@ -260,6 +273,62 @@ TEST(Daemon, ModeDefaultsPerKindAndCampaignWaitAttachesResult) {
   ASSERT_NE(pts, nullptr);
   ASSERT_TRUE(pts->is_array());
   EXPECT_EQ(pts->items.size(), 2u);
+}
+
+// Wire integers out of range: a huge job id is just an unknown job, and a
+// campaign count that does not fit an int is rejected, not wrapped or
+// overflowed, before any child job is submitted.
+TEST(Daemon, OutOfRangeWireIntegersAreRejectedNotWrapped) {
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  api::Server server(engine, api::ServerOptions{});  // never started
+  const auto code = [](const api::JsonValue& env) {
+    return env.get("error") ? env.get("error")->get("code")->as_string()
+                            : std::string("OK");
+  };
+  const auto submitted = [&] {
+    auto m = parse_ok(server.handle_request_line(R"({"op":"metrics"})"));
+    return m.get("metrics")->get("jobs_submitted")->as_int();
+  };
+
+  for (const char* id : {"1e30", "-1e30", "1e300"}) {
+    auto st = parse_ok(server.handle_request_line(
+        std::string(R"({"op":"status","job":)") + id + "}"));
+    EXPECT_EQ(code(st), "NOT_FOUND") << id;
+  }
+
+  // Counts above INT_MAX are refused at the server: no job is created.
+  auto maps = parse_ok(server.handle_request_line(
+      R"({"op":"submit","kind":"fault_campaign","workload":"DWT2D",)"
+      R"("densities":[0.01],"maps_per_density":1e10})"));
+  EXPECT_EQ(code(maps), "INVALID_ARGUMENT");
+  auto seeds = parse_ok(server.handle_request_line(
+      R"({"op":"submit","kind":"transient_campaign","workload":"DWT2D",)"
+      R"("flip_rates":[10],"seeds_per_rate":3e9})"));
+  EXPECT_EQ(code(seeds), "INVALID_ARGUMENT");
+  EXPECT_EQ(submitted(), 0);
+
+  // Each count fits an int but the product does not: the campaign fails
+  // with INVALID_ARGUMENT and never submits a child.
+  for (const char* kind : {
+           R"("kind":"fault_campaign","densities":[0.01,0.02,0.03],)"
+           R"("maps_per_density":1e9)",
+           R"("kind":"transient_campaign","flip_rates":[1,2,3],)"
+           R"("seeds_per_rate":1e9)"}) {
+    const int64_t before = submitted();
+    auto sub = parse_ok(server.handle_request_line(
+        std::string(R"({"op":"submit","workload":"DWT2D",)") + kind + "}"));
+    ASSERT_TRUE(sub.get("ok")->as_bool()) << kind;
+    auto done = parse_ok(server.handle_request_line(
+        R"({"op":"wait","job":)" + std::to_string(sub.get("job")->as_int()) +
+        R"(,"timeout_ms":600000})"));
+    ASSERT_NE(done.get("job_error"), nullptr) << kind;
+    EXPECT_EQ(done.get("job_error")->get("code")->as_string(),
+              "INVALID_ARGUMENT");
+    EXPECT_NE(done.get("job_error")->get("message")->as_string().find(
+                  "3000000000 points"),
+              std::string::npos);
+    EXPECT_EQ(submitted(), before + 1) << "a child was submitted";
+  }
 }
 
 // ------------------------------------------------- socket round-trip
@@ -543,20 +612,18 @@ TEST(Daemon, OverlongSocketPathIsInvalidArgumentOnBothEnds) {
 // --------------------------------------------------- TCP shutdown stress
 //
 // ISSUE 8 satellite: the ShutdownUnderConcurrentClients scenario, over
-// TCP against a sharded fleet, with the new ops (watch, cancel) in the
-// mix.  Run under TSan this is the tripwire for races between the quota
+// TCP, with the new ops (watch, cancel) in the mix.  Run under TSan this is the tripwire for races between the quota
 // table, the watch push path and the joinable-thread shutdown sequence.
 
 TEST(Daemon, TcpShutdownStressWithSubmitCancelWatch) {
-  serve::EngineFleet fleet(
-      EngineOptions().with_threads(1).with_disk_cache(false), 2);
+  Engine engine(EngineOptions().with_threads(2).with_disk_cache(false));
   for (int round = 0; round < 3; ++round) {
     std::atomic<bool> go{false};
     std::atomic<int> responses{0};
     {
       api::ServerOptions sopts;
       sopts.listen_port = 0;
-      api::Server server(fleet, sopts);
+      api::Server server(engine, sopts);
       ASSERT_TRUE(server.start().ok());
       const int port = server.tcp_port();
       ASSERT_GT(port, 0);
@@ -604,9 +671,9 @@ TEST(Daemon, TcpShutdownStressWithSubmitCancelWatch) {
       for (auto& t : clients) t.join();
     }
     EXPECT_GT(responses.load(), 0) << "round " << round;
-    // The fleet survives each server generation; drain between rounds so
+    // The Engine survives each server generation; drain between rounds so
     // cancelled stragglers do not pile up.
-    fleet.drain_all(5000);
+    engine.drain(5000);
   }
 }
 

@@ -352,26 +352,31 @@ TEST(Engine, AsyncSubmissionsMatchSyncResults) {
                     .with_async_workers(2)
                     .with_max_inflight(4));
 
-  auto fut_pr = engine.submit_pipeline("DWT2D");
+  Job pr_job = engine.submit(JobRequest::pipeline("DWT2D"));
   SimRequest req;
   req.mode = wl::SimMode::kCompressedHigh;
   req.scale = wl::Scale::kSample;
-  auto fut_sim = engine.submit_simulate("DWT2D", req);
-  auto fut_bad = engine.submit_pipeline("NoSuchKernel");
+  Job sim_job = engine.submit(JobRequest::simulate("DWT2D", req));
+  Job bad_job = engine.submit(JobRequest::pipeline("NoSuchKernel"));
+  for (const Job* j : {&pr_job, &sim_job, &bad_job}) j->wait();
 
-  auto async_pr = fut_pr.get();
+  auto async_pr = pr_job.pipeline_result();
   ASSERT_TRUE(async_pr.ok()) << async_pr.status().to_string();
   auto sync_pr = engine.pipeline("DWT2D");
   ASSERT_TRUE(sync_pr.ok());
   expect_same_pipeline(**sync_pr, *async_pr);
 
-  auto async_sim = fut_sim.get();
+  auto async_sim = sim_job.sim_result();
   ASSERT_TRUE(async_sim.ok()) << async_sim.status().to_string();
   EXPECT_GT(async_sim->stats.ipc(), 0.0);
+  auto sync_sim = engine.simulate("DWT2D", req);
+  ASSERT_TRUE(sync_sim.ok()) << sync_sim.status().to_string();
+  EXPECT_EQ(api::to_json(*sync_sim), api::to_json(*async_sim));
 
-  auto bad = fut_bad.get();
+  auto bad = bad_job.pipeline_result();
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(bad_job.state(), JobState::kDone);
 
   EXPECT_EQ(engine.inflight(), 0u);
 }

@@ -468,6 +468,21 @@ TEST(FaultCampaign, QualityFloorTruncatesTheSweep) {
   EXPECT_EQ(full->points.size(), 4u);
 }
 
+TEST(FaultCampaign, EmptyDensityListIsInvalidArgument) {
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  FaultCampaignRequest creq;
+  creq.sim.mode = wl::SimMode::kCompressedPerfect;
+  creq.densities.clear();
+  Job job = engine.submit(JobRequest::fault_campaign("DWT2D", creq));
+  job.wait();
+  EXPECT_EQ(job.state(), JobState::kDone);
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(job.status().message(),
+            "fault campaign 'DWT2D' has no density points");
+  EXPECT_EQ(job.progress().campaign_maps_total, 0);
+  EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 1u);  // no children
+}
+
 TEST(FaultCampaign, CancelLeavesNoPartialCacheState) {
   TempDir dir("gpurf_test_cache_camp_cancel");
   {

@@ -1,13 +1,12 @@
-// Fleet-scale serving (ISSUE 8): latency histograms, consistent-hash
-// engine sharding, the TCP transport, watch subscriptions, chunked result
-// streaming, auth tokens and per-token quotas.
+// Serving (ISSUE 8): latency histograms, the TCP transport, watch
+// subscriptions, chunked result streaming, auth tokens and per-token
+// quotas.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "api/json.hpp"
 #include "api/metrics.hpp"
 #include "api/server.hpp"
-#include "serve/fleet.hpp"
 
 namespace gpurf {
 namespace {
@@ -64,18 +62,6 @@ TEST(Histogram, BucketMappingAndPercentiles) {
   EXPECT_EQ(big.snapshot().percentile_us(0.5), ~uint64_t{0});
 }
 
-TEST(Histogram, MergeSumsBucketwise) {
-  LatencyHistogram a, b;
-  a.record_us(10);
-  a.record_us(20);
-  b.record_us(1000);
-  HistogramSnapshot s = a.snapshot();
-  s.merge(b.snapshot());
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_EQ(s.sum_us, 1030u);
-  EXPECT_EQ(s.percentile_us(0.99), 1023u);  // 1000 has bit_width 10
-}
-
 TEST(Histogram, EmptySnapshotIsZero) {
   const HistogramSnapshot s = LatencyHistogram().snapshot();
   EXPECT_EQ(s.count, 0u);
@@ -83,89 +69,14 @@ TEST(Histogram, EmptySnapshotIsZero) {
   EXPECT_DOUBLE_EQ(s.mean_us(), 0.0);
 }
 
-// ------------------------------------------------- fleet + hash routing
-
-TEST(Fleet, RoutingIsDeterministicAndSpreadsShards) {
-  serve::EngineFleet fleet(test_engine_opts(), 4);
-  ASSERT_EQ(fleet.num_shards(), 4);
-  std::set<int> used;
-  for (const std::string& name : fleet.shard(0).workload_names()) {
-    const int s = fleet.shard_for_workload(name);
-    EXPECT_EQ(s, fleet.shard_for_workload(name)) << name;
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 4);
-    used.insert(s);
-  }
-  // 8+ bundled workloads over 4 shards: the ring must not collapse onto
-  // one shard.
-  EXPECT_GE(used.size(), 2u);
-  // Unknown names still route deterministically.
-  EXPECT_EQ(fleet.shard_for_workload("no-such-kernel"),
-            fleet.shard_for_workload("no-such-kernel"));
-}
-
-TEST(Fleet, ConsistentHashMovesFewKeysOnResize) {
-  // Growing 4 -> 5 shards must keep most workload->shard assignments:
-  // that is the property that makes rebalance cheap (only the moved
-  // kernels re-warm).  With a handful of workloads the expectation is
-  // coarse: strictly fewer moves than total keys.
-  serve::EngineFleet four(test_engine_opts(), 4);
-  serve::EngineFleet five(test_engine_opts(), 5);
-  int moved = 0, total = 0;
-  for (const std::string& name : four.shard(0).workload_names()) {
-    ++total;
-    if (four.shard_for_workload(name) != five.shard_for_workload(name))
-      ++moved;
-  }
-  ASSERT_GT(total, 0);
-  EXPECT_LT(moved, total);
-}
-
-TEST(Fleet, JobIdsAreDisjointResidueClassesAcrossShards) {
-  serve::EngineFleet fleet(test_engine_opts(), 3);
-  std::vector<Job> jobs;
-  for (int s = 0; s < 3; ++s)
-    for (int k = 0; k < 2; ++k)
-      jobs.push_back(fleet.shard(s).submit(
-          JobRequest::pipeline(fleet.shard(0).workload_names()[0])));
-  std::set<uint64_t> ids;
-  for (const Job& j : jobs) {
-    ids.insert(j.id());
-    // Residue-class routing recovers the owning shard from the id alone.
-    const int owner = fleet.shard_for_job(j.id());
-    EXPECT_EQ(static_cast<uint64_t>(owner), (j.id() - 1) % 3) << j.id();
-    EXPECT_TRUE(fleet.shard(owner).find_job(j.id()).ok());
-  }
-  EXPECT_EQ(ids.size(), jobs.size());  // no collisions anywhere
-  for (Job& j : jobs) j.wait();
-}
-
-TEST(Fleet, MetricsAggregateAcrossShards) {
-  serve::EngineFleet fleet(test_engine_opts(), 2);
-  const std::string wl = fleet.shard(0).workload_names()[0];
-  Job a = fleet.shard(0).submit(JobRequest::pipeline(wl));
-  Job b = fleet.shard(1).submit(JobRequest::pipeline(wl));
-  a.wait();
-  b.wait();
-  const MetricsSnapshot sum = fleet.metrics_snapshot();
-  EXPECT_EQ(sum.jobs_submitted, 2u);
-  EXPECT_EQ(sum.jobs_done + sum.jobs_failed, 2u);
-  // Per-stage histograms populated by the engines.
-  EXPECT_GE(sum.queue_wait.count, 2u);
-  EXPECT_GE(sum.tune.count, 2u);
-  EXPECT_EQ(sum.jobs_submitted,
-            fleet.shard(0).metrics_snapshot().jobs_submitted +
-                fleet.shard(1).metrics_snapshot().jobs_submitted);
-}
-
 // ------------------------------------------------------- TCP transport
 
 TEST(ServeTcp, RoundTripMatchesUnixBitForBit) {
-  serve::EngineFleet fleet(test_engine_opts(), 2);
+  Engine engine(test_engine_opts().with_threads(2));
   api::ServerOptions sopts;
   sopts.socket_path = "./serve_tcp_test.sock";
   sopts.listen_port = 0;  // ephemeral
-  api::Server server(fleet, sopts);
+  api::Server server(engine, sopts);
   ASSERT_TRUE(server.start().ok());
   ASSERT_GT(server.tcp_port(), 0);
 
@@ -201,20 +112,14 @@ TEST(ServeTcp, RoundTripMatchesUnixBitForBit) {
   ASSERT_NE(via_tcp->get("result"), nullptr);
   EXPECT_TRUE(api::deep_equal(*via_unix->get("result"),
                               *via_tcp->get("result")));
-  // The submit response names the owning shard.
-  auto sub = tcp_c.call_json(submit_line("DWT2D"));
-  ASSERT_TRUE(sub.ok());
-  ASSERT_NE(sub->get("shard"), nullptr);
-  EXPECT_EQ(sub->get("shard")->as_int(),
-            fleet.shard_for_workload("DWT2D"));
   server.stop();
 }
 
 TEST(ServeTcp, WatchStreamsProgressAndAgreesWithWait) {
-  serve::EngineFleet fleet(test_engine_opts(), 1);
+  Engine engine(test_engine_opts());
   api::ServerOptions sopts;
   sopts.listen_port = 0;  // TCP only — no unix socket at all
-  api::Server server(fleet, sopts);
+  api::Server server(engine, sopts);
   ASSERT_TRUE(server.start().ok());
 
   api::Client c("127.0.0.1", server.tcp_port());

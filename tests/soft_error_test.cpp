@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc/slice_alloc.hpp"
@@ -341,13 +343,62 @@ TEST(TransientCampaign, SweepCompletesDeterministicallyAndSerializes) {
   // The accessor is typed: a transient campaign has no fault-campaign
   // result and vice versa.
   EXPECT_FALSE(job.campaign_result().ok());
+}
 
-  // An empty rate sweep is rejected, not run.
-  TransientCampaignRequest empty = creq;
-  empty.flip_rates.clear();
-  Job bad = engine.submit(JobRequest::transient_campaign("DWT2D", empty));
-  bad.wait();
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+TEST(TransientCampaign, EmptyRateListIsInvalidArgument) {
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  TransientCampaignRequest creq;
+  creq.flip_rates.clear();
+  Job job = engine.submit(JobRequest::transient_campaign("DWT2D", creq));
+  job.wait();
+  EXPECT_EQ(job.state(), JobState::kDone);
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(job.status().message(),
+            "transient campaign 'DWT2D' has no flip-rate points");
+  EXPECT_EQ(job.progress().campaign_maps_total, 0);
+  EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 1u);  // no children
+}
+
+TEST(TransientCampaign, CancelStopsEveryChild) {
+  // A fresh Engine with no disk cache: the first child spends its time
+  // tuning, so the cancel lands while every child is queued or running.
+  Engine engine(EngineOptions()
+                    .with_threads(2)
+                    .with_disk_cache(false)
+                    .with_async_workers(1)
+                    .with_max_inflight(32));
+  TransientCampaignRequest creq;
+  creq.sim.mode = wl::SimMode::kCompressedPerfect;
+  creq.sim.scale = wl::Scale::kSample;
+  creq.flip_rates = {10.0, 100.0, 1000.0};
+  creq.seeds_per_rate = 4;
+  Job job = engine.submit(JobRequest::transient_campaign("SSAO", creq));
+  // Cancel once the sweep has started (not before the orchestrator runs).
+  while (job.progress().campaign_maps_total == 0 && !job.done())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  job.cancel();
+  job.wait();
+  EXPECT_EQ(job.state(), JobState::kCancelled) << job.status().to_string();
+  EXPECT_EQ(job.status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(job.transient_result().ok());
+
+  // Ids are dense, so the children are the ids after the parent's.  The
+  // parent finalizes only after every child it submitted is terminal.
+  int children = 0;
+  for (uint64_t id = job.id() + 1;; ++id) {
+    auto child = engine.find_job(id);
+    if (!child.ok()) break;
+    ++children;
+    EXPECT_EQ(child->kind(), JobKind::kSimulate);
+    EXPECT_EQ(child->state(), JobState::kCancelled) << "child " << id;
+  }
+  EXPECT_GE(children, 1);
+  EXPECT_LE(children, 12);
+  // Cancelled-while-queued children hand their slot back when the
+  // executor pops them; nothing is left running.
+  for (int i = 0; i < 500 && engine.inflight() > 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(engine.inflight(), 0u);
 }
 
 // ------------------------------------------------ fault-aware re-tuning

@@ -1,22 +1,21 @@
-// gpurfd — long-lived daemon serving a gpurf Engine fleet over a local
-// AF_UNIX socket and/or TCP (ISSUE 4; fleet-scale serving since ISSUE 8).
+// gpurfd — long-lived daemon serving one gpurf Engine over a local
+// AF_UNIX socket and/or TCP (ISSUE 4; TCP, auth and quotas since ISSUE 8).
 // Clients speak newline-delimited JSON (see api/server.hpp for the wire
 // protocol): expensive tuning pipelines and timing simulations become
 // first-class jobs with deadlines, priorities, cancellation, progress and
-// watch subscriptions, and every response carries the fleet's metrics
+// watch subscriptions, and every response carries the Engine's metrics
 // snapshot.
 //
 // Usage:
-//   gpurfd [--socket PATH] [--listen HOST:PORT] [--engines N]
+//   gpurfd [--socket PATH] [--listen HOST:PORT]
 //          [--threads N] [--cache-dir DIR] [--async-workers N]
 //          [--max-inflight N] [--no-disk-cache] [--drain-ms N]
 //          [--auth-token TOK]... [--token-max-inflight N]
 //          [--token-rate R] [--token-burst B]
 //          [--max-request-bytes N] [--idle-timeout-ms N]
 //
-// At least one of --socket / --listen is required.  --engines N shards
-// the daemon into N Engines routed by kernel fingerprint (ISSUE 8).
-// --auth-token may repeat; once any token is set, every request must
+// At least one of --socket / --listen is required.  --auth-token may
+// repeat; once any token is set, every request must
 // carry a matching "token" field.
 //
 // Runs until a client sends {"op":"shutdown"} or the process receives
@@ -35,7 +34,6 @@
 
 #include "api/engine.hpp"
 #include "api/server.hpp"
-#include "serve/fleet.hpp"
 
 namespace {
 
@@ -45,7 +43,7 @@ void on_signal(int) { g_signal = 1; }
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--socket PATH] [--listen HOST:PORT] [--engines N]\n"
+      "usage: %s [--socket PATH] [--listen HOST:PORT]\n"
       "          [--threads N] [--cache-dir DIR] [--async-workers N]\n"
       "          [--max-inflight N] [--no-disk-cache] [--drain-ms N]\n"
       "          [--auth-token TOK]... [--token-max-inflight N]\n"
@@ -61,7 +59,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   gpurf::api::ServerOptions sopts;
   gpurf::EngineOptions opts;
-  int engines = 1;
   long drain_ms = 5000;
   for (int i = 1; i < argc; ++i) {
     const auto arg = [&](const char* name) {
@@ -95,11 +92,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       sopts.listen_port = static_cast<int>(port);
-    } else if (arg("--engines")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      engines = std::atoi(v);
-      if (engines < 1) engines = 1;
     } else if (arg("--threads")) {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -156,24 +148,22 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  gpurf::serve::EngineFleet fleet(opts, engines);
-  gpurf::api::Server server(fleet, sopts);
+  gpurf::Engine engine(opts);
+  gpurf::api::Server server(engine, sopts);
   const gpurf::Status st = server.start();
   if (!st.ok()) {
     std::fprintf(stderr, "gpurfd: %s\n", st.to_string().c_str());
     return 1;
   }
-  const gpurf::EngineOptions& eo = fleet.shard(0).options();
+  const gpurf::EngineOptions& eo = engine.options();
   if (!sopts.socket_path.empty())
     std::printf("gpurfd listening on %s", sopts.socket_path.c_str());
   if (server.tcp_port() >= 0)
     std::printf("%s%s:%d", sopts.socket_path.empty() ? "gpurfd listening on "
                                                      : " and ",
                 sopts.listen_host.c_str(), server.tcp_port());
-  std::printf(" (engines=%d, threads=%d, async_workers=%d, max_inflight=%zu"
-              "%s)\n",
-              fleet.num_shards(), eo.threads, eo.async_workers,
-              eo.max_inflight,
+  std::printf(" (threads=%d, async_workers=%d, max_inflight=%zu%s)\n",
+              eo.threads, eo.async_workers, eo.max_inflight,
               sopts.auth_tokens.empty() ? "" : ", auth on");
   std::fflush(stdout);
 
@@ -181,14 +171,14 @@ int main(int argc, char** argv) {
   while (server.running() && !server.shutdown_requested() && !g_signal)
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  // Stop accepting first, then drain every shard: queued jobs are
+  // Stop accepting first, then drain the Engine: queued jobs are
   // cancelled outright, running jobs share the --drain-ms budget,
-  // stragglers are cancelled cooperatively.  The Engine destructors then
-  // have nothing left to wait on.
+  // stragglers are cancelled cooperatively.  The Engine destructor then
+  // has nothing left to wait on.
   std::printf("gpurfd: shutting down (drain budget %ld ms)\n", drain_ms);
   std::fflush(stdout);
   server.stop();
-  const gpurf::Status drained = fleet.drain_all(drain_ms);
+  const gpurf::Status drained = engine.drain(drain_ms);
   if (!drained.ok())
     std::fprintf(stderr, "gpurfd: drain: %s\n", drained.to_string().c_str());
   return 0;
