@@ -4,12 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "alloc/slice_alloc.hpp"
 #include "analysis/cfg.hpp"
 #include "analysis/dataflow.hpp"
 #include "analysis/interval.hpp"
 #include "analysis/liveness.hpp"
+#include "analysis/range_analysis.hpp"
+#include "api/engine.hpp"
+#include "api/json.hpp"
 #include "common/rng.hpp"
+#include "fp/format.hpp"
 #include "ir/parser.hpp"
+#include "workloads/workload.hpp"
 
 namespace gpurf::analysis {
 namespace {
@@ -458,6 +466,172 @@ entry:
   // drops them entirely.
   EXPECT_GT(classic[scratch].count(), 0u);
   EXPECT_EQ(refined[scratch].count(), 0u);
+}
+
+
+// ------------------------------------------------------------------------
+// Golden digests of every bundled workload's static facts, built like
+// sim_test's SimGolden: FNV-1a over a canonical text of the results.  The
+// analysis layer is pure, so these pin the CFG, both liveness views, the
+// interference graphs, range analysis and the memory prover at once.  A
+// deliberate analysis change must update the digests; the failure message
+// prints the new digest.
+
+namespace wl = gpurf::workloads;
+
+std::string fnv_digest(const std::string& text) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+struct GoldenCase {
+  const char* workload;
+  const char* digest;
+};
+
+template <typename Fn>
+void expect_golden_per_workload(const std::vector<GoldenCase>& cases,
+                                Fn&& text_of) {
+  const auto all = wl::make_all_workloads();
+  ASSERT_EQ(all.size(), cases.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i]->spec().name, cases[i].workload);
+    EXPECT_EQ(fnv_digest(text_of(*all[i])), cases[i].digest)
+        << cases[i].workload;
+  }
+}
+
+std::string hulls_text(const std::vector<Interval>& hull) {
+  std::string s;
+  for (const Interval& h : hull) s += h.str() + ",";
+  return s;
+}
+
+TEST(AnalysisGolden, EngineReports) {
+  // Engine::analyze at the sample instance: pressures (static, classic
+  // and refined colouring), undefined reads, dead writes, never-read
+  // registers, live intervals, memory proofs and affine footprints, plus
+  // the per-block footprint hulls and per-site proofs behind them.
+  gpurf::Engine engine(
+      gpurf::EngineOptions().with_threads(1).with_disk_cache(false));
+  expect_golden_per_workload(
+      {{"Deferred", "0x82ed73bb91377ac4"},
+       {"SSAO", "0x48f488a269de2b94"},
+       {"Elevated", "0x6ec6d5ae3b97d5ab"},
+       {"Pathtracer", "0x051f45ba07516aaf"},
+       {"CFD", "0x84868d975e019bbb"},
+       {"DWT2D", "0x9f07e48b75d15259"},
+       {"Hotspot", "0x914e200b7ddbed93"},
+       {"Hotspot3D", "0x45005e2c2f943d5f"},
+       {"IMGVF", "0xfd331fde631c60d8"},
+       {"GICOV", "0x1b5ec6c051e2816c"},
+       {"Hybridsort", "0xc51c033ef028c6e2"}},
+      [&](const wl::Workload& w) {
+        const auto rep = engine.analyze(w);
+        EXPECT_TRUE(rep.ok()) << rep.status().to_string();
+        std::string text = rep.ok() ? gpurf::api::to_json(*rep) : "";
+        const auto inst = w.make_instance(wl::Scale::kSample, 0);
+        const auto proofs = w.mem_proofs(inst, /*footprints=*/true);
+        text += "|" + hulls_text(proofs->mem.store_hull) + "|" +
+                hulls_text(proofs->mem.load_hull) + "|";
+        for (uint8_t p : proofs->proven) text += char('0' + p);
+        return text;
+      });
+}
+
+TEST(AnalysisGolden, RangeWidths) {
+  // Range analysis at the full-scale launch the pipeline analyses.
+  expect_golden_per_workload(
+      {{"Deferred", "0x2d439f8d391ee607"},
+       {"SSAO", "0xa303d00235fd9661"},
+       {"Elevated", "0x2eb31ec323d40aa2"},
+       {"Pathtracer", "0x82a338a1b472be6b"},
+       {"CFD", "0xeae0f8a2eea74980"},
+       {"DWT2D", "0x216f5e06ed8c3e31"},
+       {"Hotspot", "0x345cd9445f034bcd"},
+       {"Hotspot3D", "0x227b0a2b2fc942e3"},
+       {"IMGVF", "0x7ebbf1d205684416"},
+       {"GICOV", "0x4980acadc3c5838a"},
+       {"Hybridsort", "0x0b27c98278e04d12"}},
+      [](const wl::Workload& w) {
+        const auto inst = w.make_instance(wl::Scale::kFull, 0);
+        const auto ranges = analyze_ranges(w.kernel(), inst.launch);
+        std::string text;
+        for (const IntWidthInfo& r : ranges.regs)
+          text += std::to_string(r.bits) + (r.is_signed ? "s" : "u") +
+                  (r.analyzed ? "a," : ",");
+        return text;
+      });
+}
+
+std::string table_text(const gpurf::alloc::AllocationResult& a) {
+  std::string s = std::to_string(a.num_physical_regs) + "/" +
+                  std::to_string(a.total_slices) + "/" +
+                  std::to_string(a.split_operands) + ":";
+  for (const auto& e : a.table) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "%d%d%d%d%d%d%d %u.%02x %u.%02x %u;",
+                  e.valid, e.split, e.is_signed, e.is_float, e.redirected,
+                  e.spilled, e.slices, e.r0.phys_reg, e.r0.mask,
+                  e.r1.phys_reg, e.r1.mask, e.float_bits);
+    s += buf;
+  }
+  return s;
+}
+
+TEST(AnalysisGolden, PipelineAllocations) {
+  // The pipeline's six allocate_slices calls (original, narrow ints,
+  // narrow floats at both levels, both at both levels), each also under
+  // live-range packing.  Two fixed Table-3 maps stand in for the tuned
+  // ones so the digests pin the allocator and its interference graphs,
+  // not the tuner.
+  expect_golden_per_workload(
+      {{"Deferred", "0xdb0d09f51f97bad9"},
+       {"SSAO", "0x2ff0ed58ed68cfe5"},
+       {"Elevated", "0x6950f71085c07d1d"},
+       {"Pathtracer", "0x84f8316dc0ea11c3"},
+       {"CFD", "0xac301e65f7e1ec13"},
+       {"DWT2D", "0x8e3f92afe85b5053"},
+       {"Hotspot", "0x91c7857c1ec14ded"},
+       {"Hotspot3D", "0x964139371d7e3a5f"},
+       {"IMGVF", "0xe6fa7754f77b29c3"},
+       {"GICOV", "0x6fff51cd8588daaf"},
+       {"Hybridsort", "0x42d2dc35ace2b107"}},
+      [](const wl::Workload& w) {
+        const auto& k = w.kernel();
+        const auto inst = w.make_instance(wl::Scale::kFull, 0);
+        const auto ranges = analyze_ranges(k, inst.launch);
+        const auto& formats = gpurf::fp::table3_formats();
+        exec::PrecisionMap perfect, high;
+        for (uint32_t r = 0; r < k.num_regs(); ++r) {
+          perfect.per_reg.push_back(formats[r % 3]);
+          high.per_reg.push_back(formats[(3 * r + 1) % formats.size()]);
+        }
+        using gpurf::alloc::AllocOptions;
+        const struct {
+          AllocOptions opt;
+          const exec::PrecisionMap* pmap;
+        } calls[] = {{{false, false}, nullptr}, {{true, false}, nullptr},
+                     {{false, true}, &perfect}, {{false, true}, &high},
+                     {{true, true}, &perfect},  {{true, true}, &high}};
+        std::string text;
+        for (bool live : {false, true})
+          for (const auto& c : calls) {
+            AllocOptions opt = c.opt;
+            opt.live_intervals = live;
+            text += table_text(gpurf::alloc::allocate_slices(
+                        k, opt.pack_ints ? &ranges : nullptr, c.pmap, opt)) +
+                    "\n";
+          }
+        return text;
+      });
 }
 
 }  // namespace
