@@ -246,11 +246,13 @@ int main(int argc, char** argv) {
     // delta isolates the checks).
     auto inst = w->make_instance(wl::Scale::kSample, 0);
     double mem_secs = 1e30;
+    const auto ka = exec::analyze_kernel(k);
     for (int i = 0; i < reps; ++i) {
       analysis::MemoryAccessOptions mo;
       mo.param_values = &inst.params;
       const double t0 = now_secs();
-      auto ma = analysis::analyze_memory_accesses(k, inst.launch, mo);
+      auto ma = analysis::analyze_memory_accesses(k, ka->cfg(), ka->dataflow(),
+                                                  inst.launch, mo);
       mem_secs = std::min(mem_secs, now_secs() - t0);
     }
     const auto proofs = w->mem_proofs(inst, /*footprints=*/true);

@@ -5,10 +5,9 @@
 #include <numeric>
 
 #include "analysis/dataflow.hpp"
-#include "analysis/liveness.hpp"
-#include "analysis/uses.hpp"
 #include "common/bitutil.hpp"
 #include "common/error.hpp"
+#include "exec/kernel_analysis.hpp"
 #include "rf/fault_map.hpp"
 
 namespace gpurf::alloc {
@@ -17,18 +16,6 @@ namespace ir = gpurf::ir;
 using gpurf::DynBitset;
 
 namespace {
-
-/// Registers that actually appear in the program (dead declarations do not
-/// occupy register-file space).
-std::vector<bool> appearing_regs(const ir::Kernel& k) {
-  std::vector<bool> used(k.num_regs(), false);
-  for (const auto& b : k.blocks)
-    for (const auto& in : b.insts) {
-      analysis::for_each_use(in, [&](uint32_t r) { used[r] = true; });
-      if (in.info().has_dst) used[in.dst] = true;
-    }
-  return used;
-}
 
 struct PhysReg {
   // occupants[s]: architectural registers using slice-column s.
@@ -83,14 +70,9 @@ AllocationResult allocate_slices(const ir::Kernel& k,
               "pack_floats requires a precision map");
   if (opt.pack_floats) pmap->validate(k.num_regs());
 
-  const auto cfg = analysis::build_cfg(k);
-  const auto live = analysis::compute_liveness(k, cfg);
-  const auto adj =
-      opt.live_intervals
-          ? analysis::build_live_interference(k, cfg,
-                                              analysis::compute_dataflow(k, cfg))
-          : analysis::build_interference(k, cfg, live);
-  const auto used = appearing_regs(k);
+  const auto ka = exec::analyze_kernel(k);
+  const analysis::Dataflow& df = ka->dataflow();
+  const auto adj = analysis::build_interference(k, df, opt.live_intervals);
 
   AllocationResult res;
   res.table.assign(k.num_regs(), IndirectionEntry{});
@@ -103,7 +85,11 @@ AllocationResult allocate_slices(const ir::Kernel& k,
   };
   std::vector<Item> items;
   for (uint32_t r = 0; r < k.num_regs(); ++r) {
-    if (!used[r] || k.regs[r].type == ir::Type::PRED) continue;
+    // Registers that never appear in the program (dead declarations) do
+    // not occupy register-file space.
+    if (df.def_count[r] + df.use_count[r] == 0 ||
+        k.regs[r].type == ir::Type::PRED)
+      continue;
     int slices = 8;
     auto& e = res.table[r];
     if (k.regs[r].type == ir::Type::F32) {

@@ -1,7 +1,9 @@
 #pragma once
 // Register allocation (paper §4.3).
 //
-// Two allocators share the liveness/interference machinery:
+// Two allocators share one interference builder
+// (analysis::build_interference) over the kernel's cached dataflow
+// (exec::analyze_kernel):
 //
 //  * Baseline: classic graph colouring at 32-bit granularity — its colour
 //    count is the per-thread register pressure of an uncompressed register
@@ -82,12 +84,11 @@ struct AllocOptions {
   /// Permanent-fault map (nullable = fault-free).  Faulty slices are never
   /// allocated; see the redirection note at the top of this header.
   const gpurf::rf::FaultMap* faults = nullptr;
-  /// Pack live ranges instead of whole-kernel maxima (PR 9): interference
-  /// comes from the instruction-granular dataflow pass
-  /// (analysis::build_live_interference), where statically dead writes —
-  /// elided before they reach the register file — contribute no edges and
-  /// never-read registers may alias anything.  Off by default: existing
-  /// allocations (and the zero-fault bit-identity pins) are untouched.
+  /// Pack live ranges instead of whole-kernel maxima (PR 9): the
+  /// interference builder drops the edges of statically dead writes —
+  /// elided before they reach the register file — so never-read
+  /// registers may alias anything.  Off by default: existing allocations
+  /// (and the zero-fault bit-identity pins) are untouched.
   bool live_intervals = false;
 };
 

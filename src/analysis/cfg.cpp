@@ -2,11 +2,78 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace gpurf::analysis {
 
 using gpurf::ir::Kernel;
+
+namespace {
+
+/// Reverse post-order of the nodes reachable from `root`, by iterative DFS.
+std::vector<uint32_t> reverse_postorder(
+    const std::vector<std::vector<uint32_t>>& succs, uint32_t root) {
+  std::vector<uint8_t> seen(succs.size(), 0);
+  std::vector<uint32_t> post;
+  post.reserve(succs.size());
+  std::vector<std::pair<uint32_t, size_t>> stack;
+  stack.emplace_back(root, 0);
+  seen[root] = 1;
+  while (!stack.empty()) {
+    auto& [b, i] = stack.back();
+    if (i < succs[b].size()) {
+      const uint32_t s = succs[b][i++];
+      if (!seen[s]) {
+        seen[s] = 1;
+        stack.emplace_back(s, 0);
+      }
+    } else {
+      post.push_back(b);
+      stack.pop_back();
+    }
+  }
+  return {post.rbegin(), post.rend()};
+}
+
+/// Cooper-Harvey-Kennedy immediate dominators of a graph given by its
+/// predecessor lists and a reverse post-order from its root (rpo[0]).
+/// idom[root] == root; nodes outside `rpo` get kNoBlock.
+std::vector<uint32_t> dominator_fixpoint(
+    const std::vector<std::vector<uint32_t>>& preds,
+    const std::vector<uint32_t>& rpo) {
+  const size_t n = preds.size();
+  std::vector<uint32_t> idom(n, kNoBlock);
+  if (rpo.empty()) return idom;
+  std::vector<uint32_t> rpo_index(n, UINT32_MAX);
+  for (uint32_t i = 0; i < rpo.size(); ++i) rpo_index[rpo[i]] = i;
+  // Intersection on RPO indices (smaller index = closer to the root).
+  auto intersect = [&](uint32_t a, uint32_t b) {
+    while (a != b) {
+      while (rpo_index[a] > rpo_index[b]) a = idom[a];
+      while (rpo_index[b] > rpo_index[a]) b = idom[b];
+    }
+    return a;
+  };
+  const uint32_t root = rpo[0];
+  idom[root] = root;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (uint32_t b : rpo) {
+      if (b == root) continue;
+      uint32_t new_idom = kNoBlock;
+      for (uint32_t p : preds[b]) {
+        if (idom[p] == kNoBlock) continue;  // not yet processed/unreachable
+        new_idom = new_idom == kNoBlock ? p : intersect(p, new_idom);
+      }
+      if (new_idom != kNoBlock && idom[b] != new_idom) {
+        idom[b] = new_idom;
+        changed = true;
+      }
+    }
+  }
+  return idom;
+}
+
+}  // namespace
 
 Cfg build_cfg(const Kernel& k) {
   Cfg cfg;
@@ -17,74 +84,12 @@ Cfg build_cfg(const Kernel& k) {
     cfg.succs[b] = k.successors(b);
     for (uint32_t s : cfg.succs[b]) cfg.preds[s].push_back(b);
   }
-
-  // Reverse post-order via iterative DFS from block 0.
-  std::vector<uint8_t> state(n, 0);  // 0 unvisited, 1 on stack, 2 done
-  std::vector<uint32_t> post;
-  post.reserve(n);
-  std::vector<std::pair<uint32_t, size_t>> stack;
-  stack.emplace_back(0, 0);
-  state[0] = 1;
-  while (!stack.empty()) {
-    auto& [b, i] = stack.back();
-    if (i < cfg.succs[b].size()) {
-      const uint32_t s = cfg.succs[b][i++];
-      if (state[s] == 0) {
-        state[s] = 1;
-        stack.emplace_back(s, 0);
-      }
-    } else {
-      state[b] = 2;
-      post.push_back(b);
-      stack.pop_back();
-    }
-  }
-  cfg.rpo.assign(post.rbegin(), post.rend());
-  cfg.rpo_index.assign(n, UINT32_MAX);
-  for (uint32_t i = 0; i < cfg.rpo.size(); ++i)
-    cfg.rpo_index[cfg.rpo[i]] = i;
+  cfg.rpo = reverse_postorder(cfg.succs, 0);
   return cfg;
 }
 
-namespace {
-
-// Intersection step of the Cooper-Harvey-Kennedy algorithm, operating on
-// RPO indices (smaller index = earlier in RPO = closer to entry).
-uint32_t intersect(uint32_t a, uint32_t b, const std::vector<uint32_t>& idom,
-                   const std::vector<uint32_t>& rpo_index) {
-  while (a != b) {
-    while (rpo_index[a] > rpo_index[b]) a = idom[a];
-    while (rpo_index[b] > rpo_index[a]) b = idom[b];
-  }
-  return a;
-}
-
-}  // namespace
-
 std::vector<uint32_t> compute_idom(const Cfg& cfg) {
-  const uint32_t n = cfg.num_blocks();
-  std::vector<uint32_t> idom(n, kNoBlock);
-  if (n == 0) return idom;
-  idom[0] = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t b : cfg.rpo) {
-      if (b == 0) continue;
-      uint32_t new_idom = kNoBlock;
-      for (uint32_t p : cfg.preds[b]) {
-        if (idom[p] == kNoBlock) continue;  // not yet processed/unreachable
-        new_idom = (new_idom == kNoBlock)
-                       ? p
-                       : intersect(p, new_idom, idom, cfg.rpo_index);
-      }
-      if (new_idom != kNoBlock && idom[b] != new_idom) {
-        idom[b] = new_idom;
-        changed = true;
-      }
-    }
-  }
-  return idom;
+  return dominator_fixpoint(cfg.preds, cfg.rpo);
 }
 
 std::vector<uint32_t> compute_ipdom(const Cfg& cfg) {
@@ -103,49 +108,8 @@ std::vector<uint32_t> compute_ipdom(const Cfg& cfg) {
       rpreds[b].push_back(s);
     }
   }
-
-  // RPO of the reverse graph from vexit.
-  std::vector<uint8_t> state(n + 1, 0);
-  std::vector<uint32_t> post;
-  std::vector<std::pair<uint32_t, size_t>> stack;
-  stack.emplace_back(vexit, 0);
-  state[vexit] = 1;
-  while (!stack.empty()) {
-    auto& [b, i] = stack.back();
-    if (i < rsuccs[b].size()) {
-      const uint32_t s = rsuccs[b][i++];
-      if (state[s] == 0) {
-        state[s] = 1;
-        stack.emplace_back(s, 0);
-      }
-    } else {
-      state[b] = 2;
-      post.push_back(b);
-      stack.pop_back();
-    }
-  }
-  std::vector<uint32_t> rpo(post.rbegin(), post.rend());
-  std::vector<uint32_t> rpo_index(n + 1, UINT32_MAX);
-  for (uint32_t i = 0; i < rpo.size(); ++i) rpo_index[rpo[i]] = i;
-
-  std::vector<uint32_t> ipdom(n + 1, kNoBlock);
-  ipdom[vexit] = vexit;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t b : rpo) {
-      if (b == vexit) continue;
-      uint32_t nd = kNoBlock;
-      for (uint32_t p : rpreds[b]) {
-        if (ipdom[p] == kNoBlock) continue;
-        nd = (nd == kNoBlock) ? p : intersect(p, nd, ipdom, rpo_index);
-      }
-      if (nd != kNoBlock && ipdom[b] != nd) {
-        ipdom[b] = nd;
-        changed = true;
-      }
-    }
-  }
+  const auto ipdom =
+      dominator_fixpoint(rpreds, reverse_postorder(rsuccs, vexit));
   std::vector<uint32_t> out(n, kNoBlock);
   for (uint32_t b = 0; b < n; ++b)
     out[b] = (ipdom[b] == vexit) ? kNoBlock : ipdom[b];

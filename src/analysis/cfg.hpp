@@ -15,8 +15,7 @@ constexpr uint32_t kNoBlock = gpurf::ir::kNoBlock;
 struct Cfg {
   std::vector<std::vector<uint32_t>> succs;
   std::vector<std::vector<uint32_t>> preds;
-  std::vector<uint32_t> rpo;        ///< block ids in reverse post-order
-  std::vector<uint32_t> rpo_index;  ///< block id -> position in rpo
+  std::vector<uint32_t> rpo;  ///< reachable block ids in reverse post-order
 
   uint32_t num_blocks() const { return static_cast<uint32_t>(succs.size()); }
 };

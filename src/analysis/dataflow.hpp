@@ -1,32 +1,36 @@
 #pragma once
-// Instruction-granular dataflow over the decoded stream (PR 9 tentpole).
+// Liveness, computed once per kernel and cached in exec::KernelAnalysis
+// (PR 9 tentpole; the block-level pass folded in since).
 //
-// `liveness.*` answers block-level questions (live-in/out, pressure,
-// interference); this layer refines them to *program points* so that
-// downstream consumers can reason per instruction:
+// The block level (live-in/out, the paper's §2 pressure, registers read
+// before any definition) feeds pruned phis in range analysis, the lint
+// report and the classic interference graph.  Program points refine it so
+// that downstream consumers can reason per instruction:
 //
 //  * the interpreter elides quantize/range-check/writeback for destination
 //    rows that are dead at the write point (ExecContext::elide_dead_writes);
 //  * the slice allocator packs live ranges instead of whole-kernel maxima
-//    (AllocOptions::live_intervals, via build_live_interference);
+//    (AllocOptions::live_intervals, via build_interference);
 //  * the soft-error model classifies strikes against the static live mask
 //    (SimStats::soft_flips_static_dead) and integrates a static upper bound
 //    of the dynamic live-bit exposure;
 //  * gpurf-lint / {"op":"analyze"} surface the same facts as a KernelReport.
 //
+// The views differ in one rule.  The block fixpoint and the pressure walk
+// treat a guarded (partial) def as a *use* of its destination: inactive
+// lanes keep the old value.  The per-point transfer merges instead: the
+// destination is live before such a def exactly when it is live after
+// it, so a guarded def of a dead register is a dead write.
+//
 // Point layout (shared with sim::SoftErrorModel): per block `size + 1`
 // points, flattened block-major.  Point i of a block is "about to execute
-// instruction i"; point `size` is the block's live-out.  The per-point
-// transfer handles partial (guarded) definitions precisely: a guarded def
-// merges into its destination, so it does not kill the old value — the
-// destination is live before such a def exactly when it is live after it.
+// instruction i"; point `size` is the block's live-out.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "analysis/cfg.hpp"
-#include "analysis/liveness.hpp"
 #include "common/bitset.hpp"
 #include "ir/kernel.hpp"
 
@@ -41,16 +45,21 @@ struct LiveInterval {
   uint32_t begin = 0;
   uint32_t end = 0;
 
-  uint32_t length() const { return end - begin; }
-  bool overlaps(const LiveInterval& o) const {
-    return begin < o.end && o.begin < end;
-  }
   bool operator==(const LiveInterval&) const = default;
 };
 
 struct Dataflow {
-  /// Block-level results this refinement started from.
-  Liveness block;
+  // --- Block level (guarded defs read their destination).
+  std::vector<DynBitset> live_in;   ///< per block
+  std::vector<DynBitset> live_out;  ///< per block
+  /// Paper §2 pressure: maximum simultaneous live *data* (non-predicate)
+  /// registers; predicates live in a separate file and are not counted.
+  uint32_t max_pressure = 0;
+  /// Registers live-in at the entry block: read on some path before any
+  /// definition.  Empty for well-formed kernels.
+  std::vector<uint32_t> undefined_uses;
+
+  // --- Program points (guarded defs merge into their destination).
 
   /// Per-point live sets, flattened block-major (one extra live-out point
   /// per block).  Index with point_index().
@@ -103,15 +112,17 @@ struct Dataflow {
 
 Dataflow compute_dataflow(const gpurf::ir::Kernel& k, const Cfg& cfg);
 
-/// Liveness-refined interference (AllocOptions::live_intervals): like
-/// build_interference, but a definition whose destination is dead at the
-/// write point contributes no edges, and never-live registers interfere
-/// with nothing — their storage may alias anything.  Sound under elided
-/// dead writebacks: a dead write never reaches the register file, so it
-/// cannot clobber a co-located live value.
-std::vector<DynBitset> build_live_interference(const gpurf::ir::Kernel& k,
-                                               const Cfg& cfg,
-                                               const Dataflow& df);
+/// Symmetric interference graph over data registers (block-level view):
+/// adj[r] has bit s set if r and s are simultaneously live (or
+/// co-defined); predicate registers get empty rows.  With
+/// `live_intervals` (AllocOptions::live_intervals) a def whose
+/// destination is dead at the write point adds no edges, so never-live
+/// registers may alias anything — sound because an elided dead write
+/// never reaches the register file.  That graph is a subgraph of the
+/// classic one.
+std::vector<DynBitset> build_interference(const gpurf::ir::Kernel& k,
+                                          const Dataflow& df,
+                                          bool live_intervals);
 
 /// One statically-dead write site.
 struct DeadWrite {

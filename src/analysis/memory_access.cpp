@@ -163,23 +163,18 @@ std::string AffineFootprint::to_string() const {
 }
 
 MemoryAccessAnalysis analyze_memory_accesses(const ir::Kernel& k,
+                                             const Cfg& cfg,
+                                             const Dataflow& df,
                                              const ir::LaunchConfig& lc,
                                              const MemoryAccessOptions& opts) {
   MemoryAccessAnalysis ma;
-
-  std::vector<uint32_t> block_first(k.blocks.size(), 0);
-  uint32_t total = 0;
-  for (size_t b = 0; b < k.blocks.size(); ++b) {
-    block_first[b] = total;
-    total += static_cast<uint32_t>(k.blocks[b].insts.size());
-  }
-  ma.num_insts = total;
+  ma.num_insts = df.num_insts;
 
   // Launch-wide solve: one interval per site covering every block/thread.
   RangeAnalysisOptions ro;
   ro.collect_mem = true;
   ro.param_values = opts.param_values;
-  const RangeAnalysisResult full = analyze_ranges(k, lc, ro);
+  const RangeAnalysisResult full = analyze_ranges(k, cfg, df, lc, ro);
 
   ma.accesses.reserve(full.mem.size());
   for (const MemSiteRange& s : full.mem) {
@@ -187,13 +182,13 @@ MemoryAccessAnalysis analyze_memory_accesses(const ir::Kernel& k,
     MemAccess a;
     a.blk = s.blk;
     a.inst = s.inst;
-    a.flat = block_first[s.blk] + s.inst;
+    a.flat = df.inst_first[s.blk] + s.inst;
     a.is_store = is_store_op(in.op);
     a.is_global = is_global_op(in.op);
     a.mem_offset = in.mem_offset;
     a.reached = s.reached;
     if (s.reached) a.addr_known = effective_addr(s.value, a.mem_offset, &a.addr);
-    (a.is_global ? ma.num_global : ma.num_shared)++;
+    ma.num_global += a.is_global;
     ma.accesses.push_back(a);
   }
 
@@ -229,7 +224,7 @@ MemoryAccessAnalysis analyze_memory_accesses(const ir::Kernel& k,
       ro2.param_values = opts.param_values;
       ro2.ctaid_x = Interval::point(bx);
       ro2.ctaid_y = Interval::point(by);
-      const RangeAnalysisResult r = analyze_ranges(k, lc, ro2);
+      const RangeAnalysisResult r = analyze_ranges(k, cfg, df, lc, ro2);
       GPURF_ASSERT(r.mem.size() == ma.accesses.size(),
                    "per-block solve enumerated different mem sites");
       for (size_t i = 0; i < r.mem.size(); ++i) {
@@ -250,7 +245,6 @@ MemoryAccessAnalysis analyze_memory_accesses(const ir::Kernel& k,
   }
 
   ma.footprints_computed = true;
-  ma.blocks_checked = static_cast<uint32_t>(nblocks);
   if (stores_known) {
     ma.stores_disjoint = segments_disjoint(stores);
     if (loads_known)

@@ -98,14 +98,12 @@ struct MemoryAccessOptions {
 struct MemoryAccessAnalysis {
   /// Every LD/ST site, block-major (TEX2D excluded).
   std::vector<MemAccess> accesses;
-  uint32_t num_global = 0;
-  uint32_t num_shared = 0;
+  uint32_t num_global = 0;  ///< global-space sites among `accesses`
   uint32_t num_insts = 0;  ///< total flattened instructions in the kernel
 
   // --- launch-wide disjointness verdicts (global space only; shared
   // memory is private per block by construction) ---
   bool footprints_computed = false;  ///< per-block solves ran for all blocks
-  uint32_t blocks_checked = 0;
   /// No global word is stored by two different blocks.
   bool stores_disjoint = false;
   /// No block loads a global word another block stores (the block-parallel
@@ -113,17 +111,21 @@ struct MemoryAccessAnalysis {
   /// being the sharded-sim contract).
   bool loads_local = false;
 
-  /// Per-block merged footprint hulls (diagnostics; size == blocks_checked
-  /// when footprints_computed).  Empty interval = block touches nothing.
+  /// Per-block merged footprint hulls (diagnostics; one per grid block
+  /// when the per-block solves ran).  Empty interval = block touches
+  /// nothing.
   std::vector<Interval> store_hull;
   std::vector<Interval> load_hull;
   AffineFootprint store_affine;
   AffineFootprint load_affine;
 };
 
+/// `cfg` and `df` are the kernel's cached analysis facts (as for
+/// analyze_ranges): the launch-wide solve and every per-block solve share
+/// them.
 MemoryAccessAnalysis analyze_memory_accesses(
-    const gpurf::ir::Kernel& k, const gpurf::ir::LaunchConfig& lc,
-    const MemoryAccessOptions& opts = {});
+    const gpurf::ir::Kernel& k, const Cfg& cfg, const Dataflow& df,
+    const gpurf::ir::LaunchConfig& lc, const MemoryAccessOptions& opts = {});
 
 /// Per-flattened-instruction proof flags: out[flat] == 1 iff that site's
 /// every dynamic address is statically proven inside its target space

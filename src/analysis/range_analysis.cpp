@@ -4,7 +4,7 @@
 #include <map>
 
 #include "analysis/cfg.hpp"
-#include "analysis/liveness.hpp"
+#include "analysis/dataflow.hpp"
 #include "analysis/uses.hpp"
 #include "common/bitutil.hpp"
 #include "common/error.hpp"
@@ -104,9 +104,9 @@ bool is_mem_op(Opcode op) {
 
 class RangeAnalyzer {
  public:
-  RangeAnalyzer(const Kernel& k, const LaunchConfig& lc,
-                const RangeAnalysisOptions& opts)
-      : k_(k), lc_(lc), opts_(opts), cfg_(build_cfg(k)) {}
+  RangeAnalyzer(const Kernel& k, const Cfg& cfg, const Dataflow& df,
+                const LaunchConfig& lc, const RangeAnalysisOptions& opts)
+      : k_(k), lc_(lc), opts_(opts), cfg_(cfg), df_(df) {}
 
   RangeAnalysisResult run() {
     if (opts_.collect_mem) enumerate_mem_sites();
@@ -233,8 +233,7 @@ class RangeAnalyzer {
   }
 
   void place_phis() {
-    const auto df = compute_dominance_frontiers(cfg_, idom_);
-    const auto live = compute_liveness(k_, cfg_);
+    const auto frontiers = compute_dominance_frontiers(cfg_, idom_);
     const uint32_t nr = k_.num_regs();
     phis_.assign(cfg_.num_blocks(), {});
 
@@ -253,9 +252,9 @@ class RangeAnalyzer {
       while (!work.empty()) {
         const uint32_t b = work.back();
         work.pop_back();
-        for (uint32_t j : df[b]) {
+        for (uint32_t j : frontiers[b]) {
           if (has_phi[j]) continue;
-          if (!live.live_in[j].test(r)) continue;  // pruned SSA
+          if (!df_.live_in[j].test(r)) continue;  // pruned SSA
           has_phi[j] = true;
           // Create the phi node up-front so that predecessors renamed in
           // any dominator-tree order can append their incoming value.
@@ -723,8 +722,6 @@ class RangeAnalyzer {
   RangeAnalysisResult merge() {
     RangeAnalysisResult res;
     res.regs.assign(k_.num_regs(), {});
-    res.num_nodes = static_cast<int>(nodes_.size());
-    res.num_sccs = static_cast<int>(scc_members_.size());
 
     for (uint32_t r = 0; r < k_.num_regs(); ++r) {
       auto& out = res.regs[r];
@@ -785,7 +782,8 @@ class RangeAnalyzer {
   const Kernel& k_;
   const LaunchConfig& lc_;
   RangeAnalysisOptions opts_;
-  Cfg cfg_;
+  const Cfg& cfg_;
+  const Dataflow& df_;
   std::vector<uint32_t> idom_;
   std::vector<std::vector<uint32_t>> dom_children_;
   std::vector<std::vector<PhiSlot>> phis_;
@@ -806,13 +804,10 @@ int RangeAnalysisResult::slices_for_reg(uint32_t r) const {
   return slices_for_bits(regs.at(r).bits);
 }
 
-RangeAnalysisResult analyze_ranges(const Kernel& k, const LaunchConfig& lc) {
-  return RangeAnalyzer(k, lc, {}).run();
-}
-
-RangeAnalysisResult analyze_ranges(const Kernel& k, const LaunchConfig& lc,
+RangeAnalysisResult analyze_ranges(const Kernel& k, const Cfg& cfg,
+                                   const Dataflow& df, const LaunchConfig& lc,
                                    const RangeAnalysisOptions& options) {
-  return RangeAnalyzer(k, lc, options).run();
+  return RangeAnalyzer(k, cfg, df, lc, options).run();
 }
 
 }  // namespace gpurf::analysis

@@ -66,8 +66,6 @@ struct RangeAnalysisOptions {
 
 struct RangeAnalysisResult {
   std::vector<IntWidthInfo> regs;  ///< indexed by kernel register id
-  int num_nodes = 0;               ///< constraint-graph size (stats)
-  int num_sccs = 0;
   /// Per-memory-instruction address operand ranges, block-major, one entry
   /// per LD_GLOBAL/LD_SHARED/ST_GLOBAL/ST_SHARED site (TEX2D is clamped by
   /// construction and excluded).  Empty unless options.collect_mem.
@@ -77,10 +75,20 @@ struct RangeAnalysisResult {
   int slices_for_reg(uint32_t r) const;
 };
 
+struct Cfg;       // cfg.hpp
+struct Dataflow;  // dataflow.hpp
+
+/// Solve over the kernel's CFG and dataflow (pruned phis read its
+/// block-level live-in sets).  Callers pass the facts of their cached
+/// exec::KernelAnalysis, so repeated solves never rebuild them.
+RangeAnalysisResult analyze_ranges(const gpurf::ir::Kernel& k, const Cfg& cfg,
+                                   const Dataflow& df,
+                                   const gpurf::ir::LaunchConfig& lc,
+                                   const RangeAnalysisOptions& options = {});
+
+/// The same over the calling thread's cached exec::KernelAnalysis of `k`
+/// (defined beside that cache, in exec/kernel_analysis.cpp).
 RangeAnalysisResult analyze_ranges(const gpurf::ir::Kernel& k,
                                    const gpurf::ir::LaunchConfig& lc);
-RangeAnalysisResult analyze_ranges(const gpurf::ir::Kernel& k,
-                                   const gpurf::ir::LaunchConfig& lc,
-                                   const RangeAnalysisOptions& options);
 
 }  // namespace gpurf::analysis

@@ -1,5 +1,6 @@
 #pragma once
-// Use/def helpers shared by liveness, SSA construction and the allocators.
+// Use/def helpers shared by the dataflow pass (analysis/dataflow.hpp), SSA
+// construction and the interference builder.
 
 #include "ir/instruction.hpp"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <functional>
 #include <utility>
 
@@ -561,12 +560,11 @@ Status Engine::verify_kernel(const ir::Kernel& k,
       // verification failures instead of silently reading zeros.  Computed
       // directly (not via the analysis cache) — verification is one-shot
       // and must not pin transient kernels in the memo.
-      const auto cfg = analysis::build_cfg(k);
-      const auto live = analysis::compute_liveness(k, cfg);
-      if (!live.undefined_uses.empty()) {
+      const auto df = analysis::compute_dataflow(k, analysis::build_cfg(k));
+      if (!df.undefined_uses.empty()) {
         std::string msg = std::string("verify '") + k.name +
                           "': undefined register read:";
-        for (uint32_t r : live.undefined_uses)
+        for (uint32_t r : df.undefined_uses)
           msg += std::string(" %") + k.regs[r].name;
         msg += " (use Engine::analyze for the full report, or "
                "allow_undefined_reads to bypass)";
@@ -593,7 +591,8 @@ StatusOr<analysis::KernelReport> Engine::analyze(const ir::Kernel& k) {
     // kernel has no meaningful grid to prove disjointness over.
     analysis::MemoryAccessOptions mo;
     mo.footprints = false;
-    const auto ma = analysis::analyze_memory_accesses(k, ir::LaunchConfig{}, mo);
+    const auto ma = analysis::analyze_memory_accesses(
+        k, ka->cfg(), ka->dataflow(), ir::LaunchConfig{}, mo);
     const uint64_t shw = analysis::shared_words(k);
     analysis::apply_memory_findings(rep, ma, analysis::prove_in_bounds(ma, 0, shw),
                                     0, shw, /*waived=*/false);
@@ -887,16 +886,16 @@ void Engine::run_campaign(detail::JobImpl& job) {
 
 Status Engine::run_sweep(detail::JobImpl& job, detail::CampaignSweep& sweep) {
   if (!sweep.precheck.ok()) return sweep.precheck;
-  // The point count is computed in 64 bits: campaign_maps_total is an
-  // int, and a wire request can ask for more points than that holds.
+  // The point count is computed in 64 bits: a wire request may carry
+  // up to INT_MAX seeds per value.
   const int per = std::max(1, sweep.per_value);
   const int64_t total = static_cast<int64_t>(sweep.axis.size()) * per;
   if (total == 0)
     return Status::InvalidArgument(sweep.what + " " + sweep.empty_error);
-  if (total > INT_MAX)
+  if (total > kMaxCampaignPoints)
     return Status::InvalidArgument(sweep.what + " has " +
                                    std::to_string(total) + " points (at most " +
-                                   std::to_string(INT_MAX) + ")");
+                                   std::to_string(kMaxCampaignPoints) + ")");
   job.token.campaign_maps_total.store(static_cast<int>(total),
                                       std::memory_order_relaxed);
   job.token.set_stage(common::JobStage::kSimulating);

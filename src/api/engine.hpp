@@ -204,8 +204,8 @@ class Engine {
 
   /// IR verification (FailedPrecondition with the verifier message).
   /// Also enforces dataflow soundness (PR 9): a register read on some
-  /// path before any definition — Liveness::undefined_uses, previously
-  /// computed but never surfaced — fails with kFailedPrecondition naming
+  /// path before any definition — Dataflow::undefined_uses, the entry
+  /// block's live-in set — fails with kFailedPrecondition naming
   /// the registers.  `allow_undefined_reads` opts out for deliberately
   /// ill-formed inputs (fuzzers, lint-only flows).
   Status verify_kernel(const ir::Kernel& k,

@@ -97,6 +97,12 @@ struct SimRequest {
 /// reproducible; per-map progress is published through
 /// JobProgress::campaign_maps_{done,total} and cancel stops the sweep at
 /// the next map boundary.
+/// Cap on the points of one campaign request (swept values x seeds per
+/// value).  The sweep holds a child Job and a result point for every
+/// point until it finishes, so a request over the cap is INVALID_ARGUMENT
+/// before any child is submitted.  The bundled sweeps use a few dozen.
+inline constexpr int64_t kMaxCampaignPoints = 65536;
+
 struct FaultCampaignRequest {
   SimRequest sim;                 ///< template for every child simulation
   std::vector<double> densities = {0.005, 0.01, 0.02, 0.05};

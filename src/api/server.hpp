@@ -21,9 +21,14 @@
 //    "deadline_ms":N,
 //    // simulate only (PR 6 fault injection; needs a compressed mode):
 //    "fault_seed":N,"fault_density":F,"fault_quality":B,
-//    // fault_campaign only (mode defaults to "perfect" here; a count
-//    // above INT_MAX, or more than INT_MAX points, is INVALID_ARGUMENT):
-//    "densities":[F,...],"maps_per_density":N,"base_seed":N}
+//    // fault_campaign only (mode defaults to "perfect" here):
+//    "densities":[F,...],"maps_per_density":N,"base_seed":N,
+//    "quality_floor":F,
+//    // transient_campaign only:
+//    "flip_rates":[F,...],"seeds_per_rate":N,"base_seed":N}
+//    // (campaigns: a count above INT_MAX, or more than
+//    // kMaxCampaignPoints = 65,536 points in total, is INVALID_ARGUMENT
+//    // and submits no child)
 //                                         -> {"job":ID,"state":..}
 //   {"op":"status","job":ID}                        -> state + progress
 //   {"op":"wait","job":ID,"timeout_ms":N

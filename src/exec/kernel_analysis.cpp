@@ -3,6 +3,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "analysis/range_analysis.hpp"
+
 namespace gpurf::exec {
 
 namespace ir = gpurf::ir;
@@ -76,15 +78,9 @@ KernelAnalysis::KernelAnalysis(const ir::Kernel& k)
       ipdom_(analysis::compute_ipdom(cfg_)),
       dataflow_(analysis::compute_dataflow(k, cfg_)),
       fingerprint_(fingerprint(k)) {
-  block_first_.reserve(k.blocks.size());
-  block_size_.reserve(k.blocks.size());
-  size_t total = 0;
-  for (const auto& b : k.blocks) total += b.insts.size();
-  decoded_.reserve(total);
+  decoded_.reserve(dataflow_.num_insts);
   for (uint32_t blk = 0; blk < k.blocks.size(); ++blk) {
     const auto& b = k.blocks[blk];
-    block_first_.push_back(static_cast<uint32_t>(decoded_.size()));
-    block_size_.push_back(static_cast<uint32_t>(b.insts.size()));
     for (uint32_t i = 0; i < b.insts.size(); ++i) {
       const auto& in = b.insts[i];
       DecodedInst d;
@@ -176,3 +172,13 @@ std::shared_ptr<const KernelAnalysis> analyze_kernel(const ir::Kernel& k) {
 }
 
 }  // namespace gpurf::exec
+
+namespace gpurf::analysis {
+
+RangeAnalysisResult analyze_ranges(const ir::Kernel& k,
+                                   const ir::LaunchConfig& lc) {
+  const auto ka = exec::analyze_kernel(k);
+  return analyze_ranges(k, ka->cfg(), ka->dataflow(), lc);
+}
+
+}  // namespace gpurf::analysis

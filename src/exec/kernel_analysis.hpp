@@ -83,17 +83,21 @@ class KernelAnalysis {
   const analysis::Cfg& cfg() const { return cfg_; }
   const std::vector<uint32_t>& ipdom() const { return ipdom_; }
 
-  /// Instruction-granular dataflow (PR 9): per-point live sets, dead-dst
-  /// flags, linear live intervals — computed once and cached beside the
-  /// CFG, shared by the interpreter, allocator and soft-error model.
+  /// The kernel's one liveness pass: block live-in/out, pressure and
+  /// undefined reads, plus per-point live sets, dead-dst flags and linear
+  /// live intervals — computed once and cached beside the CFG, shared by
+  /// the interpreter, range analysis, memory prover, allocator and
+  /// soft-error model.
   const analysis::Dataflow& dataflow() const { return dataflow_; }
 
   /// Decoded instruction at (block, index) — contiguous block-major layout.
   const DecodedInst& inst(uint32_t blk, uint32_t idx) const {
-    return decoded_[block_first_[blk] + idx];
+    return decoded_[dataflow_.inst_first[blk] + idx];
   }
-  uint32_t block_size(uint32_t blk) const { return block_size_[blk]; }
-  uint32_t num_blocks() const { return static_cast<uint32_t>(block_size_.size()); }
+  uint32_t block_size(uint32_t blk) const { return dataflow_.block_size[blk]; }
+  uint32_t num_blocks() const {
+    return static_cast<uint32_t>(dataflow_.block_size.size());
+  }
 
   /// Structural fingerprint of a kernel: cheap, order-sensitive hash over
   /// the instruction stream.  Used to invalidate cache entries whose
@@ -107,8 +111,6 @@ class KernelAnalysis {
   std::vector<uint32_t> ipdom_;
   analysis::Dataflow dataflow_;
   std::vector<DecodedInst> decoded_;
-  std::vector<uint32_t> block_first_;
-  std::vector<uint32_t> block_size_;
   uint64_t fingerprint_ = 0;
 };
 

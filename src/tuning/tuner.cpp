@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "exec/kernel_analysis.hpp"
 
 namespace gpurf::tuning {
 
@@ -11,24 +12,6 @@ namespace ir = gpurf::ir;
 using gpurf::exec::PrecisionMap;
 using gpurf::fp::FloatFormat;
 using gpurf::fp::table3_formats;
-
-namespace {
-
-/// Count static uses of each register — registers with more uses are tuned
-/// first so that high-traffic values settle before low-traffic ones refine
-/// around them (the TACO'17 heuristic orders by estimated impact).
-std::vector<uint32_t> static_use_counts(const ir::Kernel& k) {
-  std::vector<uint32_t> uses(k.num_regs(), 0);
-  for (const auto& b : k.blocks)
-    for (const auto& in : b.insts) {
-      for (int i = 0; i < in.num_srcs; ++i)
-        if (in.srcs[i].is_reg()) ++uses[in.srcs[i].index];
-      if (in.info().has_dst) ++uses[in.dst];
-    }
-  return uses;
-}
-
-}  // namespace
 
 std::vector<double> QualityProbe::evaluate_batch(
     const std::vector<const exec::PrecisionMap*>& pmaps) {
@@ -47,13 +30,20 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
   TuneResult res;
   res.pmap.per_reg.assign(k.num_regs(), gpurf::fp::format_for_bits(32));
 
-  // Registers eligible for tuning: f32 registers that the program defines.
-  const auto uses = static_use_counts(k);
+  // Registers eligible for tuning: f32 registers that appear in the
+  // program.  Those with more static reads and writes are tuned first so
+  // that high-traffic values settle before low-traffic ones refine around
+  // them (the TACO'17 heuristic orders by estimated impact).
+  const auto ka = exec::analyze_kernel(k);
+  const auto& df = ka->dataflow();
+  const auto uses = [&](uint32_t r) {
+    return df.use_count[r] + df.def_count[r];
+  };
   std::vector<uint32_t> targets;
   for (uint32_t r = 0; r < k.num_regs(); ++r)
-    if (k.regs[r].type == ir::Type::F32 && uses[r] > 0) targets.push_back(r);
+    if (k.regs[r].type == ir::Type::F32 && uses(r) > 0) targets.push_back(r);
   std::sort(targets.begin(), targets.end(), [&](uint32_t a, uint32_t b) {
-    if (uses[a] != uses[b]) return uses[a] > uses[b];
+    if (uses(a) != uses(b)) return uses(a) > uses(b);
     return a < b;
   });
 

@@ -259,7 +259,8 @@ PipelineResult compute_pipeline(const Workload& w,
 
   // 1. Integer range analysis (§4.2).
   enter_stage(gpurf::common::JobStage::kRanges);
-  pr.ranges = analysis::analyze_ranges(k, inst.launch);
+  const auto& ka = *w.kernel_analysis();
+  pr.ranges = analysis::analyze_ranges(k, ka.cfg(), ka.dataflow(), inst.launch);
 
   // 2. Float precision tuning (§4.1), two thresholds (§6.1).  A stale or
   // corrupt disk-cache entry (non-OK, non-NotFound load) falls through to

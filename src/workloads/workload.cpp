@@ -64,7 +64,9 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
   analysis::MemoryAccessOptions mo;
   mo.param_values = &inst.params;
   mo.footprints = footprints;
-  proofs->mem = analysis::analyze_memory_accesses(kernel_, inst.launch, mo);
+  const auto& ka = *kernel_analysis();
+  proofs->mem = analysis::analyze_memory_accesses(kernel_, ka.cfg(),
+                                                  ka.dataflow(), inst.launch, mo);
   proofs->gmem_words = inst.gmem.size();
   proofs->proven = analysis::prove_in_bounds(
       proofs->mem, proofs->gmem_words, analysis::shared_words(kernel_));
@@ -81,6 +83,13 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
   if (!slot || (footprints && !slot->mem.footprints_computed))
     slot = std::move(proofs);
   return slot;
+}
+
+const std::shared_ptr<const gpurf::exec::KernelAnalysis>&
+Workload::kernel_analysis() const {
+  std::call_once(analysis_once_,
+                 [&] { analysis_ = gpurf::exec::analyze_kernel(kernel_); });
+  return analysis_;
 }
 
 std::vector<float> Workload::run(
@@ -104,12 +113,15 @@ std::vector<float> Workload::run(
   // Static memory proofs (ISSUE 10).  Block-parallel execution now
   // requires the no-cross-block-reads contract proven (or waived); the
   // per-block footprint solves are only paid when parallelism is actually
-  // reachable (several blocks and a real pool).  Bounds-check elision uses
+  // reachable — the same test run_functional applies: several blocks, a
+  // current pool wider than one thread, and a caller that is not itself a
+  // pool worker (nested fan-outs run inline).  Bounds-check elision uses
   // the launch-wide solve either way.
   const bool want_parallel =
       opt.block_parallel &&
       uint64_t(inst.launch.grid_x) * inst.launch.grid_y > 1 &&
-      gpurf::common::ThreadPool::instance().size() > 1;
+      gpurf::common::ThreadPool::current().size() > 1 &&
+      !gpurf::common::in_pool_worker();
   std::shared_ptr<const MemProofs> proofs;
   if (opt.elide_bounds_checks || want_parallel)
     proofs = mem_proofs(inst, /*footprints=*/want_parallel);
@@ -120,9 +132,7 @@ std::vector<float> Workload::run(
     ctx.mem_proven = proofs->proven.data();
   }
 
-  std::call_once(analysis_once_,
-                 [&] { analysis_ = gpurf::exec::analyze_kernel(kernel_); });
-  ctx.analysis = analysis_;
+  ctx.analysis = kernel_analysis();
   const uint64_t insts = gpurf::exec::run_functional(ctx);
   if (opt.thread_insts) *opt.thread_insts = insts;
   return inst.gmem.read_f32(inst.out_base, inst.out_words);

@@ -128,6 +128,12 @@ class Workload {
   std::shared_ptr<const MemProofs> mem_proofs(const Instance& inst,
                                               bool footprints = true) const;
 
+  /// The kernel's analysis (CFG, dataflow, decoded stream), fetched from
+  /// the calling thread's cache on first use and shared by every run,
+  /// memory proof and pipeline stage of this workload.
+  const std::shared_ptr<const gpurf::exec::KernelAnalysis>& kernel_analysis()
+      const;
+
  protected:
   Workload(WorkloadSpec spec, std::string_view asm_text);
 
@@ -135,8 +141,8 @@ class Workload {
   gpurf::ir::Kernel kernel_;
 
  private:
-  /// Kernel analysis shared by every run of this workload (computed once;
-  /// safe under concurrent run() calls from parallel tuner probes).
+  /// Backs kernel_analysis() (computed once; safe under concurrent run()
+  /// calls from parallel tuner probes).
   mutable std::shared_ptr<const gpurf::exec::KernelAnalysis> analysis_;
   mutable std::once_flag analysis_once_;
   /// Memory-proof cache, keyed by (launch, gmem words, params); guarded by

@@ -9,8 +9,8 @@
 
 #include "alloc/slice_alloc.hpp"
 #include "analysis/dataflow.hpp"
-#include "analysis/liveness.hpp"
 #include "analysis/range_analysis.hpp"
+#include "exec/kernel_analysis.hpp"
 #include "ir/parser.hpp"
 #include "workloads/workload.hpp"
 
@@ -128,9 +128,8 @@ TEST_P(WorkloadAllocation, InvariantsHold) {
   EXPECT_LE(res.num_physical_regs, 256u);
 
   // 2. No two *interfering* registers share a physical slice.
-  const auto cfg = analysis::build_cfg(k);
-  const auto live = analysis::compute_liveness(k, cfg);
-  const auto adj = analysis::build_interference(k, cfg, live);
+  const auto adj = analysis::build_interference(
+      k, exec::analyze_kernel(k)->dataflow(), /*live_intervals=*/false);
   for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1) {
     if (!res.table[r1].valid) continue;
     for (uint32_t r2 = r1 + 1; r2 < k.num_regs(); ++r2) {
@@ -218,9 +217,8 @@ TEST(LiveIntervals, AllocationRespectsRefinedInterference) {
     EXPECT_LE(res.num_physical_regs, live_interval_pressure(k))
         << w->spec().name;
 
-    const auto cfg = analysis::build_cfg(k);
-    const auto df = analysis::compute_dataflow(k, cfg);
-    const auto adj = analysis::build_live_interference(k, cfg, df);
+    const auto adj = analysis::build_interference(
+        k, exec::analyze_kernel(k)->dataflow(), /*live_intervals=*/true);
     auto overlap = [](const SliceLoc& a, const SliceLoc& b) {
       return a.phys_reg == b.phys_reg && (a.mask & b.mask) != 0;
     };

@@ -1,6 +1,7 @@
-// Tests for CFG utilities, liveness and the interval domain, including
-// property-style parameterized sweeps of the interval transfer functions
-// against concrete evaluation.
+// Tests for CFG utilities, the dataflow pass and the interval domain,
+// including property-style parameterized sweeps of the interval transfer
+// functions against concrete evaluation, and golden digests of every
+// workload's static facts.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,6 @@
 #include "analysis/cfg.hpp"
 #include "analysis/dataflow.hpp"
 #include "analysis/interval.hpp"
-#include "analysis/liveness.hpp"
 #include "analysis/range_analysis.hpp"
 #include "api/engine.hpp"
 #include "api/json.hpp"
@@ -119,7 +119,7 @@ entry:
   ret
 )");
   Cfg cfg = build_cfg(k);
-  auto lv = compute_liveness(k, cfg);
+  auto lv = compute_dataflow(k, cfg);
   EXPECT_TRUE(lv.undefined_uses.empty());
   // %b dies at the add and %c is born there, so the peak simultaneous set
   // is {a, b} before the add / {a, c} after: 2 registers.
@@ -137,7 +137,7 @@ entry:
   ret
 )");
   Cfg cfg = build_cfg(k);
-  auto lv = compute_liveness(k, cfg);
+  auto lv = compute_dataflow(k, cfg);
   EXPECT_EQ(lv.max_pressure, 1u);  // %dead never appears
 }
 
@@ -152,7 +152,7 @@ entry:
   ret
 )");
   Cfg cfg = build_cfg(k);
-  auto lv = compute_liveness(k, cfg);
+  auto lv = compute_dataflow(k, cfg);
   ASSERT_EQ(lv.undefined_uses.size(), 1u);
   EXPECT_EQ(lv.undefined_uses[0], k.find_reg("never"));
 }
@@ -172,8 +172,8 @@ entry:
   ret
 )");
   Cfg cfg = build_cfg(k);
-  auto lv = compute_liveness(k, cfg);
-  auto adj = build_interference(k, cfg, lv);
+  auto lv = compute_dataflow(k, cfg);
+  auto adj = build_interference(k, lv, /*live_intervals=*/false);
   // %a's initial value must survive across the guarded redefinition, so
   // %a and %b interfere throughout.
   EXPECT_TRUE(adj[k.find_reg("a")].test(k.find_reg("b")));
@@ -384,6 +384,44 @@ entry:
   EXPECT_TRUE(df.live_at(0, 1, a));
 }
 
+TEST(Dataflow, GuardedDefOfDeadRegisterSplitsTheViews) {
+  // %a is only ever written under a guard and never read.  The block view
+  // treats the guarded write as a read of %a (inactive lanes keep the old
+  // value), so %a is live-in at entry, counts towards pressure and
+  // interferes with %c, which dies before the guarded write.  The
+  // per-point view merges instead, so the write is dead, %a is never live
+  // and the refined interference graph gives it no edges.
+  auto k = parse_kernel(R"(
+.kernel split
+.reg s32 %a
+.reg s32 %b
+.reg s32 %c
+.reg pred %p
+entry:
+  mov.s32 %c, %tid.x
+  mov.s32 %b, %c
+  setp.lt.s32 %p, %b, 3
+  @%p mov.s32 %a, 5
+  st.global.s32 [%b], %b
+  ret
+)");
+  Cfg cfg = build_cfg(k);
+  const Dataflow df = compute_dataflow(k, cfg);
+  const uint32_t a = k.find_reg("a"), b = k.find_reg("b"),
+                 c = k.find_reg("c");
+  EXPECT_EQ(df.undefined_uses, (std::vector<uint32_t>{a}));
+  EXPECT_TRUE(df.live_in[0].test(a));
+  EXPECT_EQ(df.max_pressure, 2u);  // %a beside %b or %c throughout
+  EXPECT_TRUE(df.dst_dead(0, 3));
+  EXPECT_FALSE(df.live_at(0, 3, a));
+  EXPECT_FALSE(df.ever_live.test(a));
+  const auto classic = build_interference(k, df, /*live_intervals=*/false);
+  EXPECT_TRUE(classic[a].test(b));
+  EXPECT_TRUE(classic[a].test(c));
+  EXPECT_EQ(build_interference(k, df, /*live_intervals=*/true)[a].count(),
+            0u);
+}
+
 TEST(Dataflow, UndefinedReadSurfacesInReport) {
   auto k = parse_kernel(R"(
 .kernel u
@@ -453,9 +491,8 @@ entry:
 )");
   Cfg cfg = build_cfg(k);
   const Dataflow df = compute_dataflow(k, cfg);
-  const auto live = compute_liveness(k, cfg);
-  const auto classic = build_interference(k, cfg, live);
-  const auto refined = build_live_interference(k, cfg, df);
+  const auto classic = build_interference(k, df, /*live_intervals=*/false);
+  const auto refined = build_interference(k, df, /*live_intervals=*/true);
   const uint32_t scratch = k.find_reg("scratch");
   for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1)
     for (uint32_t r2 = 0; r2 < k.num_regs(); ++r2)

@@ -483,6 +483,31 @@ TEST(FaultCampaign, EmptyDensityListIsInvalidArgument) {
   EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 1u);  // no children
 }
 
+TEST(FaultCampaign, OverPointCapIsRejectedBeforeAnyChild) {
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  FaultCampaignRequest creq;
+  creq.sim.mode = wl::SimMode::kCompressedPerfect;
+  creq.sim.scale = wl::Scale::kSample;
+  creq.densities = {0.01, 0.02};
+  creq.maps_per_density = static_cast<int>(kMaxCampaignPoints / 2 + 1);
+  // The deadline only bounds the run should the cap ever stop holding.
+  Job job = engine.submit(
+      JobRequest::fault_campaign("DWT2D", creq).with_deadline_ms(2000));
+  job.wait();
+  EXPECT_EQ(job.state(), JobState::kDone);
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(job.status().message(),
+            "fault campaign 'DWT2D' has " +
+                std::to_string(kMaxCampaignPoints + 2) + " points (at most " +
+                std::to_string(kMaxCampaignPoints) + ")");
+  EXPECT_EQ(job.progress().campaign_maps_total, 0);
+  EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 1u);  // no children
+  creq.densities.clear();
+  Job next = engine.submit(JobRequest::fault_campaign("DWT2D", creq));
+  EXPECT_EQ(next.id(), job.id() + 1);  // no child took an id
+  next.wait();
+}
+
 TEST(FaultCampaign, CancelLeavesNoPartialCacheState) {
   TempDir dir("gpurf_test_cache_camp_cancel");
   {

@@ -29,7 +29,6 @@
 
 #include "alloc/slice_alloc.hpp"
 #include "analysis/dataflow.hpp"
-#include "analysis/liveness.hpp"
 #include "analysis/memory_access.hpp"
 #include "analysis/range_analysis.hpp"
 #include "common/rng.hpp"
@@ -302,9 +301,8 @@ TEST_P(FuzzSoundness, SliceAllocationValid) {
   const auto res = alloc::allocate_slices(k, &ranges, nullptr, opt);
   EXPECT_LE(res.num_physical_regs, alloc::baseline_pressure(k));
 
-  const auto cfg = analysis::build_cfg(k);
-  const auto live = analysis::compute_liveness(k, cfg);
-  const auto adj = analysis::build_interference(k, cfg, live);
+  const auto adj = analysis::build_interference(
+      k, exec::analyze_kernel(k)->dataflow(), /*live_intervals=*/false);
   for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1) {
     if (!res.table[r1].valid) continue;
     const int covered = std::popcount(res.table[r1].r0.mask) +
@@ -588,7 +586,9 @@ TEST_P(FuzzMemProofs, StaticFootprintsCoverDynamicStores) {
   const std::vector<uint32_t> params{out};
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ma = analysis::analyze_memory_accesses(k, lc, mo);
+  const auto ka = exec::analyze_kernel(k);
+  const auto ma = analysis::analyze_memory_accesses(k, ka->cfg(),
+                                                    ka->dataflow(), lc, mo);
   ASSERT_TRUE(ma.footprints_computed) << text;
   ASSERT_EQ(ma.store_hull.size(), kMemGrid);
 
@@ -615,7 +615,9 @@ TEST_P(FuzzMemProofs, OverlapProverSoundVsWriteLog) {
   const std::vector<uint32_t> params{out};
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ma = analysis::analyze_memory_accesses(k, lc, mo);
+  const auto ka = exec::analyze_kernel(k);
+  const auto ma = analysis::analyze_memory_accesses(k, ka->cfg(),
+                                                    ka->dataflow(), lc, mo);
   if (!ma.stores_disjoint) return;  // overlap claimed: nothing to refute
 
   const auto dyn = per_block_store_sets(text);  // each set is ascending
@@ -645,7 +647,9 @@ TEST_P(FuzzMemProofs, ElidedBoundsChecksNeverObservable) {
   const std::vector<uint32_t> params{out};
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ma = analysis::analyze_memory_accesses(k, lc, mo);
+  const auto ka = exec::analyze_kernel(k);
+  const auto ma = analysis::analyze_memory_accesses(k, ka->cfg(),
+                                                    ka->dataflow(), lc, mo);
   const auto proven =
       analysis::prove_in_bounds(ma, kMemWords, analysis::shared_words(k));
   // Every seed's straight-line affine stores must be provable — coverage

@@ -359,6 +359,43 @@ TEST(TransientCampaign, EmptyRateListIsInvalidArgument) {
   EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 1u);  // no children
 }
 
+TEST(TransientCampaign, OverPointCapIsRejectedBeforeAnyChild) {
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  TransientCampaignRequest creq;
+  creq.sim.mode = wl::SimMode::kCompressedPerfect;
+  creq.sim.scale = wl::Scale::kSample;
+  creq.flip_rates = {10.0};
+  creq.seeds_per_rate = static_cast<int>(kMaxCampaignPoints + 1);
+  // The deadline only bounds the run should the cap ever stop holding.
+  Job job = engine.submit(
+      JobRequest::transient_campaign("DWT2D", creq).with_deadline_ms(2000));
+  job.wait();
+  EXPECT_EQ(job.state(), JobState::kDone);
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(job.status().message(),
+            "transient campaign 'DWT2D' has " +
+                std::to_string(kMaxCampaignPoints + 1) + " points (at most " +
+                std::to_string(kMaxCampaignPoints) + ")");
+  EXPECT_EQ(job.progress().campaign_maps_total, 0);
+  EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 1u);  // no children
+  creq.flip_rates.clear();
+  Job next = engine.submit(JobRequest::transient_campaign("DWT2D", creq));
+  EXPECT_EQ(next.id(), job.id() + 1);  // no child took an id
+  next.wait();
+
+  // A sweep exactly at the cap is accepted (cancelled here before it
+  // gets far).
+  creq.flip_rates = {10.0};
+  creq.seeds_per_rate = static_cast<int>(kMaxCampaignPoints);
+  Job at_cap = engine.submit(JobRequest::transient_campaign("DWT2D", creq));
+  while (at_cap.progress().campaign_maps_total == 0 && !at_cap.done())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(at_cap.progress().campaign_maps_total, kMaxCampaignPoints);
+  at_cap.cancel();
+  at_cap.wait();
+  EXPECT_EQ(at_cap.state(), JobState::kCancelled);
+}
+
 TEST(TransientCampaign, CancelStopsEveryChild) {
   // A fresh Engine with no disk cache: the first child spends its time
   // tuning, so the cancel lands while every child is queued or running.

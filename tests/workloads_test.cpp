@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "alloc/slice_alloc.hpp"
 #include "analysis/range_analysis.hpp"
+#include "common/thread_pool.hpp"
 #include "ir/verifier.hpp"
 #include "quality/metrics.hpp"
+#include "testing_util.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpurf::workloads {
@@ -121,6 +125,77 @@ TEST(Workloads, ElevenKernelsInPaperOrder) {
                          "IMGVF",     "GICOV",   "Hybridsort"};
   for (size_t i = 0; i < all.size(); ++i)
     EXPECT_EQ(all[i]->spec().name, names[i]);
+}
+
+
+// Block b reads the word block b-1 stored, so the launch breaks the
+// block-parallel contract: a sharded replay reads stale words at every
+// shard boundary.  The prover sees the overlap (no waiver), so replay
+// must stay serial on whatever pool run_functional fans out on.
+class ChainWorkload final : public Workload {
+ public:
+  static constexpr uint32_t kBlocks = 8;
+
+  ChainWorkload()
+      : Workload(WorkloadSpec{"Chain", gpurf::quality::MetricKind::kDeviation},
+                 R"(
+.kernel chain
+.param s32 buf
+.reg s32 %a
+.reg s32 %v
+entry:
+  mov.s32 %a, %ctaid.x
+  add.s32 %a, %a, $buf
+  ld.global.s32 %v, [%a]
+  add.s32 %v, %v, 1
+  st.global.s32 [%a+1], %v
+  ret
+)") {}
+
+  Instance make_instance(Scale, uint32_t) const override {
+    Instance inst;
+    inst.launch.grid_x = kBlocks;
+    inst.launch.block_x = 1;
+    inst.out_base = inst.gmem.alloc(kBlocks + 1);
+    inst.out_words = kBlocks + 1;
+    inst.params = {inst.out_base};
+    return inst;
+  }
+};
+
+TEST(Workloads, ProofGateFollowsTheBoundPool) {
+  ChainWorkload w;
+  RunOptions serial;
+  serial.block_parallel = false;
+  auto ref_inst = w.make_instance(Scale::kSample, 0);
+  const auto ref = w.run(ref_inst, nullptr, nullptr, serial);
+  std::vector<uint32_t> words(ref.size());
+  std::memcpy(words.data(), ref.data(), ref.size() * sizeof(float));
+  EXPECT_EQ(words.back(), ChainWorkload::kBlocks);  // the chain ran in order
+
+  // A serial process pool must not hide a 4-wide Engine pool: the proof
+  // runs, finds the cross-block read and keeps the replay serial.
+  {
+    gpurf::testing::PoolWidth process(1);
+    gpurf::common::ThreadPool wide(4);
+    gpurf::common::ScopedPool bind(&wide);
+    auto inst = w.make_instance(Scale::kSample, 0);
+    EXPECT_EQ(w.run(inst, nullptr), ref);
+    EXPECT_TRUE(w.mem_proofs(inst, /*footprints=*/false)->mem.footprints_computed);
+  }
+
+  // Nor may a wide process pool make a serial Engine pool pay for the
+  // per-block footprint solves.
+  {
+    ChainWorkload fresh;
+    gpurf::testing::PoolWidth process(4);
+    gpurf::common::ThreadPool narrow(1);
+    gpurf::common::ScopedPool bind(&narrow);
+    auto inst = fresh.make_instance(Scale::kSample, 0);
+    EXPECT_EQ(fresh.run(inst, nullptr), ref);
+    EXPECT_FALSE(
+        fresh.mem_proofs(inst, /*footprints=*/false)->mem.footprints_computed);
+  }
 }
 
 }  // namespace
