@@ -73,25 +73,7 @@ std::vector<uint32_t> dominator_fixpoint(
   return idom;
 }
 
-}  // namespace
-
-Cfg build_cfg(const Kernel& k) {
-  Cfg cfg;
-  const uint32_t n = static_cast<uint32_t>(k.blocks.size());
-  cfg.succs.resize(n);
-  cfg.preds.resize(n);
-  for (uint32_t b = 0; b < n; ++b) {
-    cfg.succs[b] = k.successors(b);
-    for (uint32_t s : cfg.succs[b]) cfg.preds[s].push_back(b);
-  }
-  cfg.rpo = reverse_postorder(cfg.succs, 0);
-  return cfg;
-}
-
-std::vector<uint32_t> compute_idom(const Cfg& cfg) {
-  return dominator_fixpoint(cfg.preds, cfg.rpo);
-}
-
+/// Immediate post-dominators; the virtual exit maps to kNoBlock.
 std::vector<uint32_t> compute_ipdom(const Cfg& cfg) {
   const uint32_t n = cfg.num_blocks();
   // Reverse CFG with virtual exit node `n`.  Exit blocks (no successors)
@@ -117,7 +99,8 @@ std::vector<uint32_t> compute_ipdom(const Cfg& cfg) {
 }
 
 std::vector<std::vector<uint32_t>> compute_dominance_frontiers(
-    const Cfg& cfg, const std::vector<uint32_t>& idom) {
+    const Cfg& cfg) {
+  const std::vector<uint32_t>& idom = cfg.idom;
   const uint32_t n = cfg.num_blocks();
   std::vector<std::vector<uint32_t>> df(n);
   for (uint32_t b = 0; b < n; ++b) {
@@ -133,6 +116,24 @@ std::vector<std::vector<uint32_t>> compute_dominance_frontiers(
     }
   }
   return df;
+}
+
+}  // namespace
+
+Cfg build_cfg(const Kernel& k) {
+  Cfg cfg;
+  const uint32_t n = static_cast<uint32_t>(k.blocks.size());
+  cfg.succs.resize(n);
+  cfg.preds.resize(n);
+  for (uint32_t b = 0; b < n; ++b) {
+    cfg.succs[b] = k.successors(b);
+    for (uint32_t s : cfg.succs[b]) cfg.preds[s].push_back(b);
+  }
+  cfg.rpo = reverse_postorder(cfg.succs, 0);
+  cfg.idom = dominator_fixpoint(cfg.preds, cfg.rpo);
+  cfg.ipdom = compute_ipdom(cfg);
+  cfg.frontiers = compute_dominance_frontiers(cfg);
+  return cfg;
 }
 
 }  // namespace gpurf::analysis

@@ -110,7 +110,6 @@ class RangeAnalyzer {
 
   RangeAnalysisResult run() {
     if (opts_.collect_mem) enumerate_mem_sites();
-    idom_ = compute_idom(cfg_);
     build_dom_tree();
     place_phis();
     rename();
@@ -227,13 +226,12 @@ class RangeAnalyzer {
   void build_dom_tree() {
     dom_children_.assign(cfg_.num_blocks(), {});
     for (uint32_t b = 1; b < cfg_.num_blocks(); ++b) {
-      if (idom_[b] != kNoBlock && idom_[b] != b)
-        dom_children_[idom_[b]].push_back(b);
+      if (cfg_.idom[b] != kNoBlock && cfg_.idom[b] != b)
+        dom_children_[cfg_.idom[b]].push_back(b);
     }
   }
 
   void place_phis() {
-    const auto frontiers = compute_dominance_frontiers(cfg_, idom_);
     const uint32_t nr = k_.num_regs();
     phis_.assign(cfg_.num_blocks(), {});
 
@@ -252,7 +250,7 @@ class RangeAnalyzer {
       while (!work.empty()) {
         const uint32_t b = work.back();
         work.pop_back();
-        for (uint32_t j : frontiers[b]) {
+        for (uint32_t j : cfg_.frontiers[b]) {
           if (has_phi[j]) continue;
           if (!df_.live_in[j].test(r)) continue;  // pruned SSA
           has_phi[j] = true;
@@ -784,7 +782,6 @@ class RangeAnalyzer {
   RangeAnalysisOptions opts_;
   const Cfg& cfg_;
   const Dataflow& df_;
-  std::vector<uint32_t> idom_;
   std::vector<std::vector<uint32_t>> dom_children_;
   std::vector<std::vector<PhiSlot>> phis_;
   std::vector<std::vector<int>> stacks_;

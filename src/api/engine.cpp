@@ -579,53 +579,50 @@ Status Engine::verify_kernel(const ir::Kernel& k,
 }
 
 StatusOr<analysis::KernelReport> Engine::analyze(const ir::Kernel& k) {
+  return analyze_impl(k, nullptr);
+}
+
+StatusOr<analysis::KernelReport> Engine::analyze(const workloads::Workload& w) {
+  return analyze_impl(w.kernel(), &w);
+}
+
+StatusOr<analysis::KernelReport> Engine::analyze_impl(
+    const ir::Kernel& k, const workloads::Workload* w) {
   Scope scope(*this);
+  const std::string& name = w ? w->spec().name : k.name;
   try {
     const auto ka = exec::analyze_kernel(k);
     analysis::KernelReport rep =
         analysis::build_kernel_report(k, ka->cfg(), ka->dataflow());
     rep.alloc_pressure = alloc::baseline_pressure(k);
     rep.live_interval_pressure = alloc::live_interval_pressure(k);
-    // Static memory section without instance context: shared-memory OOB
-    // classification only (gmem_words = 0), no footprint solves — a bare
-    // kernel has no meaningful grid to prove disjointness over.
+    const uint64_t shw = analysis::shared_words(k);
+    if (w) {
+      // Full instance context: the sample instance's launch geometry,
+      // parameter words and memory image are exactly what replay runs
+      // against, so the findings and verdicts describe real executions.
+      auto inst = w->make_instance(workloads::Scale::kSample, 0);
+      const auto proofs = w->mem_proofs(inst, /*footprints=*/true);
+      analysis::apply_memory_findings(rep, proofs->mem, proofs->proven,
+                                      proofs->gmem_words, shw,
+                                      w->spec().assume_disjoint);
+      return rep;
+    }
+    // Without instance context: shared-memory OOB classification only
+    // (gmem_words = 0), no footprint solves — a bare kernel has no
+    // meaningful grid to prove disjointness over.
     analysis::MemoryAccessOptions mo;
     mo.footprints = false;
     const auto ma = analysis::analyze_memory_accesses(
         k, ka->cfg(), ka->dataflow(), ir::LaunchConfig{}, mo);
-    const uint64_t shw = analysis::shared_words(k);
     analysis::apply_memory_findings(rep, ma, analysis::prove_in_bounds(ma, 0, shw),
                                     0, shw, /*waived=*/false);
     return rep;
   } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("analyze '") + k.name +
-                                      "': " + e.what());
+    return Status::FailedPrecondition("analyze '" + name + "': " + e.what());
   } catch (const std::exception& e) {
-    return Status::Internal(std::string("analyze '") + k.name + "': " +
-                            e.what());
+    return Status::Internal("analyze '" + name + "': " + e.what());
   }
-}
-
-StatusOr<analysis::KernelReport> Engine::analyze(const workloads::Workload& w) {
-  auto rep = analyze(w.kernel());
-  if (!rep.ok()) return rep;
-  try {
-    // Re-classify with full instance context: the sample instance's launch
-    // geometry, parameter words and memory image are exactly what replay
-    // runs against, so the findings and verdicts describe real executions.
-    auto inst = w.make_instance(workloads::Scale::kSample, 0);
-    const auto proofs = w.mem_proofs(inst, /*footprints=*/true);
-    analysis::apply_memory_findings(
-        *rep, proofs->mem, proofs->proven, proofs->gmem_words,
-        analysis::shared_words(w.kernel()), w.spec().assume_disjoint);
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("analyze '") +
-                                      w.spec().name + "': " + e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("analyze '") + w.spec().name +
-                            "': " + e.what());
-  }
-  return rep;
 }
 
 StatusOr<analysis::KernelReport> Engine::analyze(std::string_view name) {

@@ -98,11 +98,14 @@ struct EngineOptions {
   /// GPU model for occupancy and timing simulation.
   sim::GpuConfig gpu = sim::GpuConfig::fermi_gtx480();
   /// Multi-SM shard count for every timing simulation this Engine runs
-  /// (ISSUE 5): SMs tick in parallel on the Engine's pool with a
+  /// (ISSUE 5): SMs tick in parallel on the Engine's pool workers with a
   /// deterministic barrier once per window of max(1, min(lat_l1_hit,
   /// lat_tex_hit)) cycles; SimStats are bit-identical at every
-  /// value.  <= 0 resolves to `threads`; 1 forces the serial schedule.
-  /// Overridable per request via SimRequest::sim_shards.
+  /// value.  <= 0 resolves to `threads`; 1 forces the serial schedule,
+  /// which a simulation also takes when the pool is busy (one sharded
+  /// simulation at a time per Engine; fan-outs from other jobs meanwhile
+  /// run inline on their callers).  Overridable per request via
+  /// SimRequest::sim_shards.
   int sim_shards = 0;
   /// Async executor width; <= 0 resolves to `threads`.  Executor threads
   /// run submitted jobs concurrently; each job fans its inner work out on
@@ -296,6 +299,11 @@ class Engine {
                                          common::CancelToken* cancel);
   StatusOr<const workloads::PipelineResult*> pipeline_impl(
       const workloads::Workload& w, common::CancelToken* cancel);
+  /// Kernel report with its static-memory section: proven against the
+  /// workload's sample instance when `w` is set, else classified at the
+  /// default launch without instance context.
+  StatusOr<analysis::KernelReport> analyze_impl(const ir::Kernel& k,
+                                                const workloads::Workload* w);
 
   void ensure_executor();
   void executor_loop();

@@ -1,5 +1,6 @@
 #pragma once
-// Deterministic thread pool for the analysis/tuning pipeline.
+// Deterministic thread pool: the one parallel runtime of an Engine (the
+// analysis/tuning pipeline, functional replay and the sharded simulator).
 //
 // Design constraints (see ISSUE 1):
 //  * work-stealing-free: parallel_for partitions [0, n) into contiguous
@@ -9,8 +10,14 @@
 //  * deterministic results: callers only submit independent iterations
 //    whose writes go to disjoint slots, so the combined result is
 //    identical to the serial loop regardless of shard interleaving;
-//  * nested calls degrade gracefully: a parallel_for issued from inside a
-//    worker runs inline on that worker (no deadlock, no oversubscription).
+//  * one contention rule: a fan-out that cannot take the pool right now
+//    runs inline on its caller — a nested call from a shard (which would
+//    deadlock on its own pool) as much as a call from another thread while
+//    the pool is busy — so no fan-out ever waits behind another one, not
+//    even behind a whole sharded timing simulation;
+//  * try_parallel_for is the one primitive for work that needs its shards
+//    live at once (spin-barrier participants): it runs only on an idle
+//    pool and reports refusal instead of degrading.
 //
 // Thread count: GPURF_THREADS environment variable when set (>= 1),
 // otherwise std::thread::hardware_concurrency().  Tests and benches may
@@ -95,30 +102,46 @@ class ThreadPool {
   /// The first exception thrown by any iteration is rethrown here.
   void parallel_for(size_t n, const std::function<void(size_t)>& fn) {
     if (n == 0) return;
-    // Serial fast path: one thread, one item, or a nested call from a
-    // worker (which would deadlock waiting on its own pool).
-    if (num_threads_ <= 1 || n == 1 || detail::tl_in_pool_worker) {
+    // Inline on the caller: one thread, one item, a nested call from a
+    // shard, or a pool held by another fan-out.  Results are the same
+    // either way (callers write disjoint slots); only the width differs.
+    // The nested check comes first: a shard's thread may own submit_mu_.
+    std::unique_lock<std::mutex> submit(submit_mu_, std::defer_lock);
+    if (num_threads_ <= 1 || n == 1 || detail::tl_in_pool_worker ||
+        !submit.try_lock()) {
       for (size_t i = 0; i < n; ++i) fn(i);
       return;
     }
-
-    // NOTE: parallel_for is fork-join for *short* fan-outs — it holds
-    // submit_mu_ for the duration of the job, so long-resident occupants
-    // (e.g. the sharded timing simulator, whose shards live for the whole
-    // run) must NOT route through the pool: they would serialise every
-    // other session's probe batches — and with them their cancellation
-    // checkpoints — behind a multi-second mutex hold.  sim/gpu.cpp spawns
-    // a dedicated, globally-gated shard crew instead, sized by size().
-    std::lock_guard<std::mutex> submit(submit_mu_);
     const int nshards =
         static_cast<int>(std::min<size_t>(n, static_cast<size_t>(num_threads_)));
-    const std::function<void(int)> shard = [&, nshards](int s) {
+    run_job(nshards, [&, nshards](int s) {
       // Contiguous static partition: shard s owns [lo, hi).
       const size_t lo = n * static_cast<size_t>(s) / nshards;
       const size_t hi = n * static_cast<size_t>(s + 1) / nshards;
       for (size_t i = lo; i < hi; ++i) fn(i);
-    };
+    });
+  }
 
+  /// Run fn(i) for every i in [0, n) on n distinct threads at once — the
+  /// caller runs index 0, worker i runs index i — for work whose shards
+  /// must all be live together (they meet at a CycleBarrier).  Returns
+  /// false without calling fn when the pool is busy, n > size() or the
+  /// call is nested inside a shard; the caller then takes its serial path.
+  /// fn must not throw.
+  bool try_parallel_for(size_t n, const std::function<void(size_t)>& fn) {
+    if (n == 0) return true;
+    if (detail::tl_in_pool_worker) return false;
+    std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
+    if (!submit.owns_lock() || n > static_cast<size_t>(num_threads_))
+      return false;
+    run_job(static_cast<int>(n), [&](int s) { fn(static_cast<size_t>(s)); });
+    return true;
+  }
+
+ private:
+  /// Post `shard` to workers 1..nshards-1, run shard 0 on the caller and
+  /// wait for the rest.  Requires submit_mu_ held and nshards <= size().
+  void run_job(int nshards, const std::function<void(int)>& shard) {
     std::exception_ptr first_error;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -150,7 +173,6 @@ class ThreadPool {
     if (first_error) std::rethrow_exception(first_error);
   }
 
- private:
   void spawn(int threads) {
     if (threads < 1) threads = 1;
     num_threads_ = threads;
@@ -210,7 +232,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   int num_threads_ = 1;
 
-  std::mutex submit_mu_;  ///< serialises external parallel_for / resize
+  /// Held by the running job and by resize(); fan-outs only try it.
+  std::mutex submit_mu_;
 
   std::mutex mu_;
   std::condition_variable cv_, done_cv_;
@@ -225,7 +248,10 @@ class ThreadPool {
 /// Reusable cycle barrier for lockstep phase execution (ISSUE 5: the
 /// sharded timing simulator ticks its SMs in parallel through a window of
 /// max(1, min(lat_l1_hit, lat_tex_hit)) cycles, then runs a serial phase —
-/// block refills, L2 replay — between windows; see sim/gpu.hpp).
+/// block refills, L2 replay — between windows; see sim/gpu.hpp).  Every
+/// participant must be live at once, so start them with
+/// ThreadPool::try_parallel_for, never with parallel_for (which may run
+/// them one after another on the caller).
 ///
 /// Epoch-based: every participant calls arrive_and_wait(fn) once per
 /// window; the last arriver runs `fn` alone (exclusive access to shared

@@ -75,7 +75,6 @@ LaneOp classify_lane_op(const ir::Instruction& in) {
 
 KernelAnalysis::KernelAnalysis(const ir::Kernel& k)
     : cfg_(analysis::build_cfg(k)),
-      ipdom_(analysis::compute_ipdom(cfg_)),
       dataflow_(analysis::compute_dataflow(k, cfg_)),
       fingerprint_(fingerprint(k)) {
   decoded_.reserve(dataflow_.num_insts);

@@ -8,7 +8,7 @@
 //
 // KernelAnalysis hoists everything the interpreter needs that depends only
 // on the kernel text into one immutable, shareable object:
-//   * the CFG and the ipdom vector (SIMT reconvergence points),
+//   * the CFG with its dominator facts (ipdom: SIMT reconvergence points),
 //   * a flattened decoded instruction stream: block-major, contiguous,
 //     with per-instruction flags (has_dst, control class) predecoded so
 //     the dispatch loop stops chasing the opcode-info table.
@@ -81,7 +81,7 @@ class KernelAnalysis {
   explicit KernelAnalysis(const gpurf::ir::Kernel& k);
 
   const analysis::Cfg& cfg() const { return cfg_; }
-  const std::vector<uint32_t>& ipdom() const { return ipdom_; }
+  const std::vector<uint32_t>& ipdom() const { return cfg_.ipdom; }
 
   /// The kernel's one liveness pass: block live-in/out, pressure and
   /// undefined reads, plus per-point live sets, dead-dst flags and linear
@@ -108,7 +108,6 @@ class KernelAnalysis {
 
  private:
   analysis::Cfg cfg_;
-  std::vector<uint32_t> ipdom_;
   analysis::Dataflow dataflow_;
   std::vector<DecodedInst> decoded_;
   uint64_t fingerprint_ = 0;

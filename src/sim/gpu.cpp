@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <queue>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -25,33 +24,6 @@ using ir::UnitClass;
 namespace {
 
 constexpr int kNoIndex = -1;
-
-/// Process-wide token bounding sharded-sim thread usage: at most one
-/// simulation runs a dedicated shard crew at a time.  A second concurrent
-/// sharded simulate degrades to the serial schedule (bit-identical by the
-/// determinism contract — only wall-clock changes) instead of
-/// oversubscribing the host with additional spin-barrier crews.  The sims
-/// deliberately do NOT route through ThreadPool::parallel_for: that holds
-/// the pool's submit mutex for the whole job, which would serialise every
-/// other session's short fan-outs (tuner probe batches, and with them
-/// their cancellation checkpoints) behind a multi-second hold.
-std::atomic<bool> shard_crew_busy{false};
-
-class ShardCrewToken {
- public:
-  ShardCrewToken()
-      : acquired_(!shard_crew_busy.exchange(true, std::memory_order_acquire)) {}
-  ~ShardCrewToken() {
-    if (acquired_) shard_crew_busy.store(false, std::memory_order_release);
-  }
-  ShardCrewToken(const ShardCrewToken&) = delete;
-  ShardCrewToken& operator=(const ShardCrewToken&) = delete;
-
-  bool acquired() const { return acquired_; }
-
- private:
-  bool acquired_;
-};
 
 /// Execution latency by instruction class.
 uint32_t latency_of(const GpuConfig& g, const ir::Instruction& in) {
@@ -896,22 +868,13 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
   };
 
   // Shard resolution: <= 0 means "current pool width"; clamp to the SM
-  // count; nested calls (pool workers) and one-thread pools run serial.
-  // The pool only *sizes* the crew — see ShardCrewToken for why the
-  // shards run on dedicated threads rather than pool workers.
+  // count and the pool width.  The shards run on the pool's resident
+  // workers (ThreadPool::try_parallel_for); a nested call or a pool busy
+  // with another fan-out or simulation takes the serial schedule below.
   common::ThreadPool& pool = common::ThreadPool::current();
   int nshards = opt.shards <= 0 ? pool.size() : opt.shards;
   nshards = std::min<int>(nshards, static_cast<int>(gpu.num_sms));
   nshards = std::min<int>(nshards, pool.size());
-  if (nshards < 1 || common::in_pool_worker()) nshards = 1;
-
-  std::optional<ShardCrewToken> crew;
-  if (nshards > 1) {
-    crew.emplace();
-    // Another simulation already runs a shard crew: take the serial
-    // schedule (identical results) instead of stacking spinning threads.
-    if (!crew->acquired()) nshards = 1;
-  }
 
   // Window schedule, identical in results at every shard count.  A
   // buffered L2 probe lands its writeback at least base_latency >= W =
@@ -934,7 +897,7 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
   // (the barrier's epoch ordering publishes them); `err` latches the
   // first exception — shard loops must never unwind past the barrier, or
   // the remaining shards would hang.
-  const uint64_t window =
+  uint64_t window =
       nshards > 1 && !soft_proc
           ? std::max<uint32_t>(1, std::min(gpu.lat_l1_hit, gpu.lat_tex_hit))
           : 1;
@@ -1018,59 +981,27 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     }
   };
 
-  const auto run_serial = [&] {
+  common::CycleBarrier barrier(nshards);
+  const auto shard_windows = [&](size_t shard) {
+    // Contiguous static SM partition, same formula as parallel_for's
+    // shard split: a pure function of (num_sms, nshards, shard).
+    const size_t n = sms.size();
+    const size_t lo = n * shard / static_cast<size_t>(nshards);
+    const size_t hi = n * (shard + 1) / static_cast<size_t>(nshards);
+    while (!stop) {
+      run_busy(lo, hi);
+      barrier.arrive_and_wait(close_window);
+    }
+  };
+  // shard_windows never throws (exceptions latch into `err`), so every
+  // shard reaches the end of its loop.  A refused pool runs nothing, and
+  // the run takes the serial schedule from cycle 0.
+  if (nshards <= 1 || !pool.try_parallel_for(nshards, shard_windows)) {
+    window = 1;
+    set_horizon();
     while (!stop) {
       run_busy(0, sms.size());
       close_window();
-    }
-  };
-
-  if (nshards <= 1) {
-    run_serial();
-  } else {
-    common::CycleBarrier barrier(nshards);
-    const auto shard_windows = [&](size_t shard) {
-      // Contiguous static SM partition, same formula as parallel_for's
-      // shard split: a pure function of (num_sms, nshards, shard).
-      const size_t n = sms.size();
-      const size_t lo = n * shard / static_cast<size_t>(nshards);
-      const size_t hi = n * (shard + 1) / static_cast<size_t>(nshards);
-      while (!stop) {
-        run_busy(lo, hi);
-        barrier.arrive_and_wait(close_window);
-      }
-    };
-    // Dedicated crew: the caller runs shard 0, nshards-1 spawned threads
-    // run the rest.  shard_windows never throws (exceptions latch into
-    // `err`), so every started thread always reaches its join.  Spawned
-    // threads park on a start gate until the whole crew exists — if a
-    // std::thread constructor fails mid-crew (thread rlimit), the partial
-    // crew is told to abort and joined, and the run degrades to the
-    // serial loop instead of leaving threads at a barrier that can never
-    // fill (or terminating on a joinable ~thread during unwind).
-    std::atomic<int> gate{0};  // 0 = hold, 1 = run, -1 = abort
-    const auto crew_main = [&](size_t s) {
-      int g;
-      while ((g = gate.load(std::memory_order_acquire)) == 0)
-        std::this_thread::yield();
-      if (g > 0) shard_windows(s);
-    };
-    std::vector<std::thread> extra;
-    extra.reserve(static_cast<size_t>(nshards - 1));
-    try {
-      for (int s = 1; s < nshards; ++s)
-        extra.emplace_back([&crew_main, s] { crew_main(size_t(s)); });
-    } catch (...) {
-      gate.store(-1, std::memory_order_release);
-      for (auto& t : extra) t.join();
-      extra.clear();
-    }
-    if (static_cast<int>(extra.size()) == nshards - 1) {
-      gate.store(1, std::memory_order_release);
-      shard_windows(0);
-      for (auto& t : extra) t.join();
-    } else {
-      run_serial();
     }
   }
   if (err) std::rethrow_exception(err);

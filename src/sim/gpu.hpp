@@ -32,12 +32,12 @@
 // the event's cycle — and replays the window's buffered L2 probes in
 // (cycle, SM) order.  Every L2-dependent writeback lands at least W cycles
 // after its issue, so it is scheduled before any tick that could see it.
-// Serial runs and soft-flip runs take W = 1.  The shards run on a
-// dedicated, process-gated thread crew sized by the current thread pool's
-// width — not on pool workers, because a simulation occupies its threads
-// for the whole run and must not starve other sessions' short fan-outs
-// (see sim/gpu.cpp); when another simulation already holds the crew
-// token, the run degrades to the serial schedule with identical results.
+// Serial runs and soft-flip runs take W = 1.  The shards run on the
+// current thread pool's resident workers through
+// ThreadPool::try_parallel_for; when the pool is busy (another simulation
+// or fan-out holds it) the run takes the serial schedule with identical
+// results, and fan-outs issued while a simulation holds the pool run
+// inline on their callers instead of waiting for it.
 // Each SM owns private SimStats, a private ExecContext (thread_insts) and
 // its private L1 / texture caches; the only cross-SM structures — the
 // block dispatcher and the shared L2 — are touched exclusively in the

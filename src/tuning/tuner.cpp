@@ -132,12 +132,8 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
       // the serial algorithm would restore that register and move past it
       // — which is exactly how the cursor advances here — so the accepted
       // assignment matches the serial run bit for bit, for every K.
-      const size_t k_init = static_cast<size_t>(opt.speculate_batch);
-      const size_t k_max =
-          opt.speculate_batch_max > 0
-              ? static_cast<size_t>(opt.speculate_batch_max)
-              : 4 * k_init;
-      size_t k_cur = std::min(k_init, k_max);
+      const size_t k_max = 4 * static_cast<size_t>(opt.speculate_batch);
+      size_t k_cur = static_cast<size_t>(opt.speculate_batch);
       size_t t = 0;  // cursor into `targets`
       while (t < targets.size()) {
         struct Candidate {
@@ -182,13 +178,10 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
         // chains would just multiply the waste a rejection discards).
         // Results are K-invariant by construction, so the width policy
         // never affects the accepted assignment.
-        if (opt.adaptive_batch) {
-          const bool can_grow =
-              gpurf::common::ThreadPool::current().size() > 1;
-          k_cur = accepted == chain.size()
-                      ? std::min(can_grow ? k_cur * 2 : k_cur, k_max)
-                      : std::max<size_t>(1, k_cur / 2);
-        }
+        const bool can_grow = gpurf::common::ThreadPool::current().size() > 1;
+        k_cur = accepted == chain.size()
+                    ? std::min(can_grow ? k_cur * 2 : k_cur, k_max)
+                    : std::max<size_t>(1, k_cur / 2);
         if (accepted > 0) {
           res.pmap = chain[accepted - 1].pmap;
           last_score = scores[accepted - 1];

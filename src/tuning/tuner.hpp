@@ -60,16 +60,13 @@ struct TunerOptions {
   /// the accepted assignment is bit-for-bit identical to the serial
   /// result (only `evaluations` grows, counting the wasted speculation).
   /// <= 0 = auto: the current thread pool's width at tune time (an Engine
-  /// resolves this to its own thread count at construction).
+  /// resolves this to its own thread count at construction).  This is
+  /// the starting width: a rejection halves it (quality failed early —
+  /// deep speculation was wasted), a fully accepted batch doubles it,
+  /// clamped to [1, 4 * speculate_batch].  The accepted assignment stays
+  /// bit-identical by construction for every width sequence, so the
+  /// adaptation never changes results, only probe waste.
   int speculate_batch = 0;
-  /// Adapt the batch width to the acceptance pattern: a rejection halves K
-  /// (quality failed early — deep speculation was wasted), a fully
-  /// accepted batch doubles it, clamped to [1, speculate_batch_max].  The
-  /// accepted assignment stays bit-identical by construction for every K
-  /// sequence, so adaptivity never changes results, only probe waste.
-  bool adaptive_batch = true;
-  /// Upper clamp for the adaptive width; <= 0 means 4 * speculate_batch.
-  int speculate_batch_max = 0;
   /// Skip the final validation probe at the end of tune_precision.  The
   /// probe contract makes evaluate() a pure function of the pmap, so the
   /// validation score always equals the score of the last accepted

@@ -58,7 +58,7 @@ TEST(Cfg, DiamondStructure) {
 TEST(Cfg, DominatorsDiamond) {
   auto k = diamond();
   Cfg cfg = build_cfg(k);
-  auto idom = compute_idom(cfg);
+  const auto& idom = cfg.idom;
   EXPECT_EQ(idom[0], 0u);
   EXPECT_EQ(idom[1], 0u);
   EXPECT_EQ(idom[2], 0u);
@@ -68,7 +68,7 @@ TEST(Cfg, DominatorsDiamond) {
 TEST(Cfg, PostDominatorsDiamond) {
   auto k = diamond();
   Cfg cfg = build_cfg(k);
-  auto ipdom = compute_ipdom(cfg);
+  const auto& ipdom = cfg.ipdom;
   EXPECT_EQ(ipdom[0], 3u);  // branch reconverges at the join
   EXPECT_EQ(ipdom[1], 3u);
   EXPECT_EQ(ipdom[2], 3u);
@@ -78,7 +78,7 @@ TEST(Cfg, PostDominatorsDiamond) {
 TEST(Cfg, DominanceFrontierDiamond) {
   auto k = diamond();
   Cfg cfg = build_cfg(k);
-  auto df = compute_dominance_frontiers(cfg, compute_idom(cfg));
+  const auto& df = cfg.frontiers;
   EXPECT_EQ(df[1], (std::vector<uint32_t>{3}));
   EXPECT_EQ(df[2], (std::vector<uint32_t>{3}));
   EXPECT_TRUE(df[3].empty());
@@ -101,7 +101,7 @@ exit:
   ret
 )");
   Cfg cfg = build_cfg(k);
-  auto ipdom = compute_ipdom(cfg);
+  const auto& ipdom = cfg.ipdom;
   EXPECT_EQ(ipdom[1], k.find_block("exit"));  // loop header reconverges at exit
 }
 

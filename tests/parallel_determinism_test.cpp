@@ -11,8 +11,12 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "alloc/slice_alloc.hpp"
@@ -319,7 +323,9 @@ TEST(ThreadPool, CycleBarrierRunsCompletionExactlyOncePerEpoch) {
   int completions = 0;
   int total = 0;
   std::atomic<int> mismatches{0};
-  gpurf::common::parallel_for(kParts, [&](size_t p) {
+  // Barrier participants must all be live at once: try_parallel_for.
+  ASSERT_TRUE(gpurf::common::ThreadPool::current().try_parallel_for(
+      kParts, [&](size_t p) {
     for (int e = 0; e < kEpochs; ++e) {
       contributions[p] = e + 1;  // pre-barrier write, distinct slot
       barrier.arrive_and_wait([&] {
@@ -331,9 +337,60 @@ TEST(ThreadPool, CycleBarrierRunsCompletionExactlyOncePerEpoch) {
       // contributions of this epoch.
       if (total != kParts * (e + 1)) mismatches.fetch_add(1);
     }
-  });
+  }));
   EXPECT_EQ(completions, kEpochs);
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ThreadPool, BusyPoolRunsFanOutInline) {
+  // A fan-out that finds the pool held by another one runs every index
+  // inline on its calling thread instead of waiting for the pool.
+  gpurf::common::ThreadPool pool(4);
+  gpurf::testing::HeldPool hold(pool);
+  auto fan_out = std::async(std::launch::async, [&] {
+    std::vector<std::thread::id> ran(8);
+    pool.parallel_for(ran.size(), [&](size_t i) {
+      ran[i] = std::this_thread::get_id();
+    });
+    return std::make_pair(std::this_thread::get_id(), ran);
+  });
+  const bool finished = fan_out.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  hold.release();
+  ASSERT_TRUE(finished) << "the fan-out waited for the busy pool";
+  const auto [caller, ran] = fan_out.get();
+  for (size_t i = 0; i < ran.size(); ++i)
+    EXPECT_EQ(ran[i], caller) << "index " << i;
+}
+
+TEST(ThreadPool, TryParallelForRefusesWhenBusyNestedOrTooWide) {
+  gpurf::common::ThreadPool pool(4);
+  // Idle pool, n <= size(): index i runs on thread i, all live at once
+  // (four barrier participants complete their epoch), the caller as 0.
+  std::vector<std::thread::id> ids(4);
+  gpurf::common::CycleBarrier barrier(4);
+  EXPECT_TRUE(pool.try_parallel_for(4, [&](size_t i) {
+    ids[i] = std::this_thread::get_id();
+    barrier.arrive_and_wait([] {});
+  }));
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  EXPECT_EQ(std::set<std::thread::id>(ids.begin(), ids.end()).size(), 4u);
+
+  std::atomic<int> calls{0};
+  const auto count = [&](size_t) { calls.fetch_add(1); };
+  EXPECT_FALSE(pool.try_parallel_for(5, count));  // wider than the pool
+  std::atomic<int> nested_refusals{0};
+  pool.parallel_for(4, [&](size_t) {
+    if (!pool.try_parallel_for(2, count)) nested_refusals.fetch_add(1);
+  });
+  EXPECT_EQ(nested_refusals.load(), 4);
+  {
+    gpurf::testing::HeldPool hold(pool);
+    EXPECT_FALSE(pool.try_parallel_for(2, count));  // busy
+  }
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_TRUE(pool.try_parallel_for(2, count));  // idle again
+  EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(ThreadPool, SmallerIterationCountThanThreads) {

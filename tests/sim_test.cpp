@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <string>
 
 #include "alloc/slice_alloc.hpp"
@@ -674,6 +676,26 @@ TEST(ShardedSimulate, MaxCyclesOverrunRaisesTheSameErrorAtEveryShardCount) {
   }
   EXPECT_NE(msg[0].find("max_cycles"), std::string::npos) << msg[0];
   EXPECT_EQ(msg[0], msg[1]);
+}
+
+TEST(ShardedSimulate, BusyPoolTakesTheSerialSchedule) {
+  // A sharded simulation that finds its pool held by another fan-out does
+  // not wait for it: it runs the serial schedule on its caller, with
+  // results identical to a serial run.
+  gpurf::testing::PoolWidth width(4);
+  const GpuConfig g = GpuConfig::fermi_gtx480();
+  const CompressionConfig cc = CompressionConfig::paper_default();
+  const RaggedRun serial = run_ragged(g, cc, 31, 1);
+  gpurf::testing::HeldPool hold(gpurf::common::ThreadPool::instance());
+  auto busy = std::async(std::launch::async,
+                         [&] { return run_ragged(g, cc, 31, 4); });
+  const bool finished =
+      busy.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  hold.release();
+  ASSERT_TRUE(finished) << "the simulation waited for the busy pool";
+  const RaggedRun held = busy.get();
+  gpurf::testing::expect_same_sim_stats(serial.res.stats, held.res.stats);
+  EXPECT_EQ(serial.out, held.out);
 }
 
 TEST(ShardedSimulate, ShardCountBeyondPoolDegradesGracefully) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <string>
+#include <thread>
 
 #include "common/thread_pool.hpp"
 #include "sim/stats.hpp"
@@ -53,6 +56,42 @@ class PoolWidth {
 
  private:
   int saved_;
+};
+
+/// RAII: hold `pool` busy from a background thread — one fan-out over all
+/// of its threads whose shards block until release() (or scope exit).  The
+/// constructor returns once every shard runs, so the pool is busy by then.
+/// Needs a pool at least two threads wide.
+class HeldPool {
+ public:
+  explicit HeldPool(gpurf::common::ThreadPool& pool) {
+    std::promise<void> held;
+    std::future<void> ready = held.get_future();
+    holder_ = std::thread([this, &pool, held = std::move(held)]() mutable {
+      const int n = pool.size();
+      std::atomic<int> started{0};
+      pool.parallel_for(static_cast<size_t>(n), [&](size_t) {
+        if (started.fetch_add(1) + 1 == n) held.set_value();
+        latch_.wait();
+      });
+    });
+    ready.wait();
+  }
+  ~HeldPool() { release(); }
+
+  void release() {
+    if (!holder_.joinable()) return;
+    release_.set_value();
+    holder_.join();
+  }
+
+  HeldPool(const HeldPool&) = delete;
+  HeldPool& operator=(const HeldPool&) = delete;
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> latch_ = release_.get_future().share();
+  std::thread holder_;
 };
 
 }  // namespace gpurf::testing

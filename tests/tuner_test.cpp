@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "ir/parser.hpp"
 #include "tuning/tuner.hpp"
 
@@ -44,7 +46,8 @@ class FloorProbe final : public QualityProbe {
     return score >= 1.0;
   }
 
-  int evals = 0;
+  /// evaluate_batch scores candidates on several pool threads.
+  std::atomic<int> evals{0};
 
  private:
   std::vector<int> floors_;
@@ -59,7 +62,7 @@ TEST(Tuner, FindsPerRegisterFloors) {
   EXPECT_EQ(res.pmap.per_reg[0].total_bits, 16);
   EXPECT_EQ(res.pmap.per_reg[1].total_bits, 24);
   EXPECT_EQ(res.pmap.per_reg[2].total_bits, 8);
-  EXPECT_GT(probe.evals, 3);
+  EXPECT_GT(probe.evals.load(), 3);
 }
 
 TEST(Tuner, UnusedRegistersNotTuned) {
