@@ -1,26 +1,23 @@
 // bench_serve — serving load harness (ISSUE 8 tentpole).  Hosts one
-// Engine behind a Server (TCP on an ephemeral loopback port plus an
-// AF_UNIX socket) inside this process, then drives it with an
-// open-loop load generator: arrivals are pre-scheduled at a fixed rate and
-// latency is measured completion-minus-*scheduled*-arrival, so queueing
-// delay inside a saturated daemon is charged to the daemon, not hidden by
-// a slow closed-loop client (no coordinated omission).
+// Engine behind a Server on an AF_UNIX socket inside this process, then
+// drives it with an open-loop load generator: arrivals are pre-scheduled
+// at a fixed rate and latency is measured completion-minus-*scheduled*-
+// arrival, so queueing delay inside a saturated daemon is charged to the
+// daemon, not hidden by a slow closed-loop client (no coordinated
+// omission).
 //
 // Phases:
-//   1. preflight  — correctness gates: TCP and AF_UNIX serve bit-identical
-//                   results (api::deep_equal, chunked-stream path
-//                   included), watch reaches the same terminal state as
-//                   wait, a tightly-quota'd second Server rejects with
-//                   RESOURCE_EXHAUSTED + retry_after_ms, and
-//                   {"op":"histograms"} parses with all four stages.
-//   2. load       — N concurrent TCP clients replay the arrival schedule
+//   1. preflight  — correctness gates: watch reaches the same terminal
+//                   state as a status poll, and {"op":"histograms"}
+//                   parses with all four stages.
+//   2. load       — N concurrent clients replay the arrival schedule
 //                   with a mixed op profile (~55% status, 15% ping,
 //                   25% submit of sample-scale simulations, 5% watch);
 //                   per-op p50/p99/p999 from log2 histograms.
 //   3. saturation — closed-loop ping burst: ceiling ops/sec.
 //
 // Usage: bench_serve [--smoke] [--clients N] [--rate R] [--duration S]
-//                    [--threads N] [--port P] [--out PATH]
+//                    [--threads N] [--out PATH]
 //
 // Emits BENCH_serve.json (or --out PATH) with the daemon flags, preflight
 // verdicts, per-op latency percentiles and the saturation throughput.
@@ -110,85 +107,34 @@ bool account(OpStats& st, const gpurf::StatusOr<api::JsonValue>& resp,
 // ------------------------------------------------------------- preflight
 
 struct Preflight {
-  bool tcp_unix_identical = false;
   bool watch_wait_consistent = false;
-  bool quota_enforced = false;
   bool histograms_ok = false;
 
-  bool all() const {
-    return tcp_unix_identical && watch_wait_consistent && quota_enforced &&
-           histograms_ok;
-  }
+  bool all() const { return watch_wait_consistent && histograms_ok; }
 };
 
-/// Submit + wait one sample simulation through `c`, returning the parsed
-/// "result" value (stream=true on request exercises the chunked path).
-gpurf::StatusOr<api::JsonValue> run_one(api::Client& c,
-                                        const std::string& workload,
-                                        bool stream) {
-  auto sub = c.call_json(submit_line(workload));
-  if (!sub.ok()) return sub.status();
-  const api::JsonValue* id = sub->get("job");
-  if (!id) return gpurf::Status::Internal("submit reply carries no job id");
-  api::JsonWriter w;
-  w.begin_object();
-  w.field("op", "wait");
-  w.field("job", static_cast<uint64_t>(id->as_int()));
-  w.field("timeout_ms", static_cast<int64_t>(60000));
-  if (stream) {
-    w.field("stream", true);
-    w.field("chunk_bytes", static_cast<int64_t>(512));
-  }
-  w.end_object();
-  auto done = c.call_json(w.str());
-  if (!done.ok()) return done.status();
-  const api::JsonValue* res = done->get("result");
-  if (!res)
-    return gpurf::Status::Internal("wait reply carries no result (state " +
-                                   (done->get("state")
-                                        ? done->get("state")->as_string()
-                                        : std::string("?")) +
-                                   ")");
-  return *res;
-}
-
-Preflight run_preflight(gpurf::Engine& engine,
-                        const std::string& socket_path, int tcp_port,
+Preflight run_preflight(const std::string& socket_path,
                         const std::string& workload) {
   Preflight pf;
 
-  api::Client unix_c(socket_path);
-  api::Client tcp_c("127.0.0.1", tcp_port);
-  if (!unix_c.status().ok() || !tcp_c.status().ok()) {
+  api::Client watch_c(socket_path);
+  api::Client poll_c(socket_path);
+  if (!watch_c.status().ok() || !poll_c.status().ok()) {
     std::fprintf(stderr, "preflight: connect failed (%s / %s)\n",
-                 unix_c.status().to_string().c_str(),
-                 tcp_c.status().to_string().c_str());
+                 watch_c.status().to_string().c_str(),
+                 poll_c.status().to_string().c_str());
     return pf;
   }
 
-  // Gate 1: the same simulation served over TCP (chunk-streamed) and over
-  // AF_UNIX (inline) must deep-compare equal — transport must not touch
-  // payloads.
+  // Gate 1: watch's terminal envelope agrees with a status poll.
   {
-    auto via_unix = run_one(unix_c, workload, /*stream=*/false);
-    auto via_tcp = run_one(tcp_c, workload, /*stream=*/true);
-    if (via_unix.ok() && via_tcp.ok())
-      pf.tcp_unix_identical = api::deep_equal(*via_unix, *via_tcp);
-    else
-      std::fprintf(stderr, "preflight: identity runs failed (%s / %s)\n",
-                   via_unix.status().to_string().c_str(),
-                   via_tcp.status().to_string().c_str());
-  }
-
-  // Gate 2: watch's terminal envelope agrees with a status poll.
-  {
-    auto sub = tcp_c.call_json(submit_line(workload));
+    auto sub = watch_c.call_json(submit_line(workload));
     if (sub.ok() && sub->get("job")) {
       const uint64_t id = static_cast<uint64_t>(sub->get("job")->as_int());
       size_t progress_events = 0;
-      auto terminal = tcp_c.watch(
+      auto terminal = watch_c.watch(
           id, 60000, [&](const api::JsonValue&) { ++progress_events; });
-      auto polled = unix_c.call_json(job_line("status", id));
+      auto polled = poll_c.call_json(job_line("status", id));
       if (terminal.ok() && polled.ok()) {
         const std::string ws = terminal->get("state")
                                    ? terminal->get("state")->as_string()
@@ -204,38 +150,9 @@ Preflight run_preflight(gpurf::Engine& engine,
     }
   }
 
-  // Gate 3: a second Server on the *same* Engine with a 1-submit bucket
-  // and in-flight cap must reject the burst with RESOURCE_EXHAUSTED and a
-  // usable retry_after_ms.
+  // Gate 2: the histograms op returns all four latency stages.
   {
-    api::ServerOptions qopts;
-    qopts.listen_port = 0;
-    qopts.token_rate = 1.0;
-    qopts.token_burst = 1.0;
-    qopts.token_max_inflight = 1;
-    api::Server qserver(engine, qopts);
-    if (qserver.start().ok()) {
-      api::Client qc("127.0.0.1", qserver.tcp_port());
-      bool saw_reject = false;
-      for (int i = 0; i < 4 && !saw_reject; ++i) {
-        auto resp = qc.call_json(submit_line(workload));
-        if (!resp.ok()) break;
-        if (!resp->get("ok")->as_bool(false)) {
-          const api::JsonValue* err = resp->get("error");
-          const std::string code =
-              err && err->get("code") ? err->get("code")->as_string() : "";
-          saw_reject = code == "RESOURCE_EXHAUSTED" &&
-                       api::envelope_retry_after_ms(*resp) >= 0;
-        }
-      }
-      pf.quota_enforced = saw_reject;
-      qserver.stop();
-    }
-  }
-
-  // Gate 4: the histograms op returns all four latency stages.
-  {
-    auto h = tcp_c.call_json("{\"op\":\"histograms\"}");
+    auto h = watch_c.call_json("{\"op\":\"histograms\"}");
     if (h.ok() && h->get("histograms")) {
       const api::JsonValue& hh = *h->get("histograms");
       pf.histograms_ok = hh.get("queue_wait") && hh.get("tune") &&
@@ -249,7 +166,7 @@ Preflight run_preflight(gpurf::Engine& engine,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  int clients = 128, threads = 0, port = 0;
+  int clients = 128, threads = 0;
   double rate = 400.0, duration_s = 10.0;
   std::string out_path = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
@@ -264,13 +181,11 @@ int main(int argc, char** argv) {
     else if (arg("--rate")) { if (const char* v = next()) rate = std::atof(v); }
     else if (arg("--duration")) { if (const char* v = next()) duration_s = std::atof(v); }
     else if (arg("--threads")) { if (const char* v = next()) threads = std::atoi(v); }
-    else if (arg("--port")) { if (const char* v = next()) port = std::atoi(v); }
     else if (arg("--out")) { if (const char* v = next()) out_path = v; }
     else {
       std::fprintf(stderr,
                    "usage: bench_serve [--smoke] [--clients N] [--rate R] "
-                   "[--duration S] [--threads N] [--port P] "
-                   "[--out PATH]\n");
+                   "[--duration S] [--threads N] [--out PATH]\n");
       return 2;
     }
   }
@@ -281,7 +196,7 @@ int main(int argc, char** argv) {
   }
   if (clients < 1) clients = 1;
 
-  // Self-hosted daemon: one Engine behind both transports.  The disk
+  // Self-hosted daemon: one Engine behind one socket.  The disk
   // cache stays off so the bench is hermetic and rerunnable.
   gpurf::EngineOptions eo;
   eo.use_disk_cache = false;
@@ -291,33 +206,26 @@ int main(int argc, char** argv) {
   api::ServerOptions sopts;
   sopts.socket_path = "/tmp/gpurf_bench_serve_" +
                       std::to_string(static_cast<long>(::getpid())) + ".sock";
-  sopts.listen_host = "127.0.0.1";
-  sopts.listen_port = port;  // 0 = ephemeral
   api::Server server(engine, sopts);
   if (gpurf::Status st = server.start(); !st.ok()) {
     std::fprintf(stderr, "bench_serve: %s\n", st.to_string().c_str());
     return 1;
   }
-  const int tcp_port = server.tcp_port();
+  const std::string& socket_path = sopts.socket_path;
   const std::string daemon_flags =
-      "--socket " + sopts.socket_path + " --listen 127.0.0.1:" +
-      std::to_string(tcp_port) +
+      "--socket " + socket_path +
       (threads > 0 ? " --threads " + std::to_string(threads) : "");
   const std::string workload = "DWT2D";
 
-  std::printf("bench_serve: %d TCP clients @ %.0f req/s for %.1fs against "
-              "an Engine of %d thread(s) on 127.0.0.1:%d (%s)\n",
-              clients, rate, duration_s, engine.options().threads, tcp_port,
-              smoke ? "smoke" : "full");
+  std::printf("bench_serve: %d clients @ %.0f req/s for %.1fs against "
+              "an Engine of %d thread(s) on %s (%s)\n",
+              clients, rate, duration_s, engine.options().threads,
+              socket_path.c_str(), smoke ? "smoke" : "full");
 
   // ---- phase 1: preflight ------------------------------------------------
-  const Preflight pf =
-      run_preflight(engine, sopts.socket_path, tcp_port, workload);
-  std::printf("preflight: tcp==unix %s | watch==wait %s | quota %s | "
-              "histograms %s\n",
-              pf.tcp_unix_identical ? "ok" : "FAIL",
+  const Preflight pf = run_preflight(socket_path, workload);
+  std::printf("preflight: watch==wait %s | histograms %s\n",
               pf.watch_wait_consistent ? "ok" : "FAIL",
-              pf.quota_enforced ? "ok" : "FAIL",
               pf.histograms_ok ? "ok" : "FAIL");
 
   // ---- phase 2: open-loop mixed load ------------------------------------
@@ -331,7 +239,7 @@ int main(int argc, char** argv) {
 
   // Seed one finished job so early status/watch ops address a real id.
   {
-    api::Client seed("127.0.0.1", tcp_port);
+    api::Client seed(socket_path);
     auto sub = seed.call_json(submit_line(workload));
     if (sub.ok() && sub->get("job")) {
       const uint64_t id = static_cast<uint64_t>(sub->get("job")->as_int());
@@ -345,7 +253,7 @@ int main(int argc, char** argv) {
   workers.reserve(static_cast<size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
-      api::Client cli("127.0.0.1", tcp_port);
+      api::Client cli(socket_path);
       if (!cli.status().ok()) {
         // Count every arrival this worker would have served as a
         // protocol error rather than silently shrinking the load.
@@ -405,7 +313,7 @@ int main(int argc, char** argv) {
   std::vector<std::thread> sat_workers;
   for (int c = 0; c < clients; ++c) {
     sat_workers.emplace_back([&] {
-      api::Client cli("127.0.0.1", tcp_port);
+      api::Client cli(socket_path);
       if (!cli.status().ok()) return;
       while (!sat_stop.load(std::memory_order_relaxed)) {
         if (cli.call("{\"op\":\"ping\"}").ok())
@@ -450,12 +358,9 @@ int main(int argc, char** argv) {
                  rate, duration_s,
                  daemon_flags.c_str());
     std::fprintf(json,
-                 "  \"preflight\": {\"tcp_unix_identical\": %s, "
-                 "\"watch_wait_consistent\": %s, \"quota_enforced\": %s, "
+                 "  \"preflight\": {\"watch_wait_consistent\": %s, "
                  "\"histograms_ok\": %s},\n",
-                 pf.tcp_unix_identical ? "true" : "false",
                  pf.watch_wait_consistent ? "true" : "false",
-                 pf.quota_enforced ? "true" : "false",
                  pf.histograms_ok ? "true" : "false");
     std::fprintf(json, "  \"ops\": {");
     for (int op = 0; op < kNumOps; ++op) {
@@ -480,7 +385,7 @@ int main(int argc, char** argv) {
   }
 
   server.stop();
-  ::unlink(sopts.socket_path.c_str());
+  ::unlink(socket_path.c_str());
 
   if (smoke && (protocol_errors > 0 || !pf.all())) {
     std::fprintf(stderr,

@@ -12,14 +12,6 @@
 //       Talks to an already-running `gpurfd --socket PATH` (what CI does).
 //       --shutdown asks the daemon to exit afterwards.
 //
-//   ./daemon_roundtrip --tcp
-//       Self-contained again, but over loopback TCP (ISSUE 8): the
-//       in-process Server listens on an ephemeral 127.0.0.1 port and the
-//       Client dials it — same protocol, different transport.
-//
-//   ./daemon_roundtrip --connect-tcp HOST:PORT [--shutdown]
-//       Talks to an already-running `gpurfd --listen HOST:PORT`.
-//
 // The run submits one pipeline job (priority 1) and one sample-scale
 // simulate job for the same workload, waits for both, and then checks —
 // exiting non-zero on any violation — that every response parses as JSON,
@@ -74,33 +66,21 @@ std::string state_of(const api::JsonValue& resp) {
 
 int main(int argc, char** argv) {
   std::string connect_path;
-  std::string connect_tcp;
-  bool use_tcp = false;
   bool send_shutdown = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc)
       connect_path = argv[++i];
-    else if (std::strcmp(argv[i], "--connect-tcp") == 0 && i + 1 < argc)
-      connect_tcp = argv[++i];
-    else if (std::strcmp(argv[i], "--tcp") == 0)
-      use_tcp = true;
     else if (std::strcmp(argv[i], "--shutdown") == 0)
       send_shutdown = true;
   }
 
-  // Self-hosted mode: an in-process daemon on a scratch socket (or, with
-  // --tcp, an ephemeral loopback port).
+  // Self-hosted mode: an in-process daemon on a scratch socket.
   std::unique_ptr<gpurf::Engine> engine;
   std::unique_ptr<api::Server> server;
-  if (connect_path.empty() && connect_tcp.empty()) {
+  if (connect_path.empty()) {
     api::ServerOptions sopts;
-    if (use_tcp) {
-      sopts.listen_host = "127.0.0.1";
-      sopts.listen_port = 0;  // ephemeral; read back below
-    } else {
-      connect_path = "./gpurfd_example.sock";
-      sopts.socket_path = connect_path;
-    }
+    connect_path = "./gpurfd_example.sock";
+    sopts.socket_path = connect_path;
     engine = std::make_unique<gpurf::Engine>(gpurf::EngineOptions{});
     server = std::make_unique<api::Server>(*engine, sopts);
     const gpurf::Status st = server->start();
@@ -108,28 +88,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: server start: %s\n", st.to_string().c_str());
       return 1;
     }
-    if (use_tcp) {
-      connect_tcp = "127.0.0.1:" + std::to_string(server->tcp_port());
-      std::printf("in-process gpurfd on tcp %s\n", connect_tcp.c_str());
-    } else {
-      std::printf("in-process gpurfd on %s\n", connect_path.c_str());
-    }
+    std::printf("in-process gpurfd on %s\n", connect_path.c_str());
   }
 
-  std::unique_ptr<api::Client> client_holder;
-  if (!connect_tcp.empty()) {
-    const size_t colon = connect_tcp.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "FAIL: --connect-tcp wants HOST:PORT\n");
-      return 1;
-    }
-    client_holder = std::make_unique<api::Client>(
-        connect_tcp.substr(0, colon),
-        std::atoi(connect_tcp.c_str() + colon + 1));
-  } else {
-    client_holder = std::make_unique<api::Client>(connect_path);
-  }
-  api::Client& client = *client_holder;
+  api::Client client(connect_path);
   if (!client.status().ok()) {
     std::fprintf(stderr, "FAIL: %s\n", client.status().to_string().c_str());
     return 1;

@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -292,13 +291,11 @@ struct JobImpl {
   mutable std::mutex mu;
   std::condition_variable cv;
   JobState state = JobState::kQueued;
-  bool finalizing = false;  ///< finalize claimed; terminal not yet published
   Status status;  ///< terminal status (OK for a successful kDone)
   std::optional<workloads::PipelineResult> pipeline_result;
   std::optional<sim::SimResult> sim_result;
   std::optional<FaultCampaignResult> campaign_result;
   std::optional<TransientCampaignResult> transient_result;
-  std::vector<std::function<void()>> on_terminal;
 
   Clock::time_point submitted_at{};
   Clock::time_point started_at{};
@@ -309,7 +306,7 @@ struct JobImpl {
   /// requested while it sat in the queue (the caller finalizes it instead).
   bool start_running(uint64_t seq) {
     std::lock_guard<std::mutex> lock(mu);
-    if (state != JobState::kQueued || finalizing) return false;
+    if (state != JobState::kQueued) return false;
     if (token.stop_reason() != common::StopReason::kNone) return false;
     state = JobState::kRunning;
     started_at = Clock::now();
@@ -317,48 +314,17 @@ struct JobImpl {
     return true;
   }
 
-  /// Transition to a terminal state exactly once.  The registered
-  /// listeners run first, outside the lock, and only then does the
-  /// terminal state become observable (waiters wake, status() succeeds):
-  /// anything a client can learn from "the job is done" already reflects
-  /// listener side effects, e.g. the serving layer's per-token quota slot
-  /// is free by the time a wait() returns.  Returns false if the job was
-  /// already terminal or another finalize is in flight (no-op then).
+  /// Transition to a terminal state exactly once; false (a no-op) if the
+  /// job already is terminal.
   bool finalize(JobState terminal, Status st) {
-    std::vector<std::function<void()>> listeners;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (finalizing || job_state_terminal(state)) return false;
-      finalizing = true;
-      // Outcome fields are set now so listeners can read them; the state
-      // machine itself still reads kQueued/kRunning until the publish
-      // below, so status()/result accessors keep failing with
-      // FailedPrecondition ("not finished") during the listener window.
-      status = std::move(st);
-      finished_at = Clock::now();
-      listeners.swap(on_terminal);
-    }
-    for (auto& fn : listeners) fn();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      state = terminal;
-      token.set_stage(common::JobStage::kFinished);
-      cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    if (job_state_terminal(state)) return false;
+    status = std::move(st);
+    finished_at = Clock::now();
+    state = terminal;
+    token.set_stage(common::JobStage::kFinished);
+    cv.notify_all();
     return true;
-  }
-
-  /// Run `fn` once the job is terminal — immediately if it already is or
-  /// a finalize is in flight (the list has been swapped out by then).
-  void add_listener(std::function<void()> fn) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!finalizing && !job_state_terminal(state)) {
-        on_terminal.push_back(std::move(fn));
-        return;
-      }
-    }
-    fn();
   }
 };
 
@@ -449,14 +415,6 @@ class Job {
                       end - impl_->started_at)
                       .count();
     return p;
-  }
-
-  /// Run `fn` once the job reaches a terminal state — immediately if it
-  /// already has.  `fn` runs on the finalizing thread (or this one), so it
-  /// must be quick and must not wait on the job.  Serving layers use this
-  /// for per-token in-flight accounting (ISSUE 8).
-  void on_terminal(std::function<void()> fn) const {
-    impl_->add_listener(std::move(fn));
   }
 
   /// Result accessors: the value snapshot for a successful job of the

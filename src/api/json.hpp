@@ -161,9 +161,8 @@ StatusOr<JsonValue> parse_json(std::string_view text);
 /// Structural equality over parsed JSON values: object member *order* is
 /// ignored (duplicate keys compare by first occurrence, matching
 /// JsonValue::get), array order matters, numbers compare exactly as the
-/// doubles the parser produced.  Used by bench_serve to assert TCP and
-/// AF_UNIX serve bit-identical results even when envelope framing
-/// (chunked vs inline) differs.
+/// doubles the parser produced.  perfbench's serve-mixed uses it to check
+/// daemon results against the in-process Engine's.
 bool deep_equal(const JsonValue& a, const JsonValue& b);
 
 }  // namespace gpurf::api

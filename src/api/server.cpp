@@ -1,11 +1,5 @@
 #include "api/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -15,9 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,18 +21,19 @@ namespace {
 
 namespace wl = gpurf::workloads;
 
+/// Request lines longer than this are rejected and the connection closed.
+constexpr size_t kMaxRequestBytes = 1 << 20;
+
 /// Response envelope builders: every reply — success or error — embeds the
 /// Engine's metrics snapshot (ISSUE 4 satellite; histogram-bearing since
 /// ISSUE 8).
-std::string envelope_error(const std::string& metrics, const Status& st,
-                           int64_t retry_after_ms = -1) {
+std::string envelope_error(const std::string& metrics, const Status& st) {
   JsonWriter w;
   w.begin_object();
   w.field("ok", false);
   w.begin_object("error");
   w.field("code", status_code_name(st.code()));
   w.field("message", st.message());
-  if (retry_after_ms >= 0) w.field("retry_after_ms", retry_after_ms);
   w.end_object();
   w.raw("metrics", metrics);
   w.end_object();
@@ -232,136 +225,46 @@ bool send_all(int fd, const std::string& data) {
 
 }  // namespace
 
-// ---------------------------------------------------------------- quotas
-
-/// Per-token serving quota state (ISSUE 8).  One entry per distinct
-/// "token" string (the empty string is the anonymous client of an
-/// auth-less daemon).
-struct Server::TokenState {
-  std::mutex mu;
-  double bucket = 0.0;  ///< submit token-bucket level
-  bool bucket_init = false;
-  std::chrono::steady_clock::time_point last_refill;
-  size_t inflight = 0;  ///< submitted-but-unfinished jobs
-};
-
-struct Server::QuotaTable {
-  std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<TokenState>> tokens;
-
-  std::shared_ptr<TokenState> get(const std::string& key) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto& slot = tokens[key];
-    if (!slot) slot = std::make_shared<TokenState>();
-    return slot;
-  }
-};
-
 // ---------------------------------------------------------------- Server
 
 Server::Server(Engine& engine, ServerOptions opts)
-    : engine_(engine),
-      opts_(std::move(opts)),
-      quotas_(std::make_shared<QuotaTable>()) {}
+    : engine_(engine), opts_(std::move(opts)) {}
 
 Server::~Server() { stop(); }
 
 Status Server::start() {
-  const bool want_unix = !opts_.socket_path.empty();
-  const bool want_tcp = opts_.listen_port >= 0;
-  if (!want_unix && !want_tcp)
-    return Status::InvalidArgument(
-        "gpurfd: no listener configured (need socket_path and/or "
-        "listen_port)");
-
-  auto fail = [this](Status st) {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    if (tcp_listen_fd_ >= 0) {
-      ::close(tcp_listen_fd_);
-      tcp_listen_fd_ = -1;
-      tcp_port_ = -1;
-    }
+  if (opts_.socket_path.empty())
+    return Status::InvalidArgument("gpurfd: no socket_path configured");
+  sockaddr_un addr{};
+  // Validate against sun_path instead of silently truncating: a truncated
+  // path binds somewhere the client never looks.
+  if (opts_.socket_path.size() >= sizeof(addr.sun_path))
+    return Status::InvalidArgument("gpurfd: socket path too long (" +
+                                   std::to_string(opts_.socket_path.size()) +
+                                   " >= " +
+                                   std::to_string(sizeof(addr.sun_path)) +
+                                   "): " + opts_.socket_path);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0)
+    return Status::Internal(std::string("socket: ") + std::strerror(errno));
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ::unlink(opts_.socket_path.c_str());  // stale socket from a dead daemon
+  Status st;
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0)
+    st = Status::Internal("bind " + opts_.socket_path + ": " +
+                          std::strerror(errno));
+  else if (::listen(listen_fd_, 64) < 0)
+    st = Status::Internal(std::string("listen: ") + std::strerror(errno));
+  if (!st.ok()) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
     return st;
-  };
-
-  if (want_unix) {
-    sockaddr_un addr{};
-    // Validate against sun_path instead of silently truncating (ISSUE 8
-    // satellite — a truncated path binds somewhere the client never
-    // looks).
-    if (opts_.socket_path.size() >= sizeof(addr.sun_path))
-      return Status::InvalidArgument("gpurfd: socket path too long (" +
-                                     std::to_string(opts_.socket_path.size()) +
-                                     " >= " +
-                                     std::to_string(sizeof(addr.sun_path)) +
-                                     "): " + opts_.socket_path);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-      return Status::Internal(std::string("socket: ") + std::strerror(errno));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ::unlink(opts_.socket_path.c_str());  // stale socket from a dead daemon
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) < 0)
-      return fail(Status::Internal("bind " + opts_.socket_path + ": " +
-                                   std::strerror(errno)));
-    if (::listen(listen_fd_, 64) < 0)
-      return fail(
-          Status::Internal(std::string("listen: ") + std::strerror(errno)));
-  }
-
-  if (want_tcp) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(opts_.listen_port));
-    const std::string& host =
-        opts_.listen_host == "localhost" ? std::string("127.0.0.1")
-                                         : opts_.listen_host;
-    if (host.empty() || host == "0.0.0.0") {
-      addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    } else if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      return fail(Status::InvalidArgument("gpurfd: bad listen host '" +
-                                          opts_.listen_host +
-                                          "' (numeric IPv4 expected)"));
-    }
-    tcp_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_listen_fd_ < 0)
-      return fail(
-          Status::Internal(std::string("socket: ") + std::strerror(errno)));
-    const int one = 1;
-    ::setsockopt(tcp_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) < 0)
-      return fail(Status::Internal("bind " + opts_.listen_host + ":" +
-                                   std::to_string(opts_.listen_port) + ": " +
-                                   std::strerror(errno)));
-    if (::listen(tcp_listen_fd_, 128) < 0)
-      return fail(
-          Status::Internal(std::string("listen: ") + std::strerror(errno)));
-    // Ephemeral binds (port 0) read the real port back for the caller.
-    sockaddr_in bound{};
-    socklen_t blen = sizeof(bound);
-    if (::getsockname(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &blen) == 0)
-      tcp_port_ = static_cast<int>(ntohs(bound.sin_port));
-    else
-      tcp_port_ = opts_.listen_port;
   }
 
   running_.store(true, std::memory_order_release);
-  // Capture the fds by value: stop() writes -1 into the members without
-  // holding a lock the accept threads share, so the lambdas must not read
-  // them after launch.
-  if (listen_fd_ >= 0)
-    accept_thread_ =
-        std::thread([this, fd = listen_fd_] { accept_loop(fd, false); });
-  if (tcp_listen_fd_ >= 0)
-    tcp_accept_thread_ =
-        std::thread([this, fd = tcp_listen_fd_] { accept_loop(fd, true); });
+  accept_thread_ = std::thread([this] { accept_loop(); });
   return Status::Ok();
 }
 
@@ -388,18 +291,15 @@ void Server::reap_finished() {
 void Server::stop() {
   stopping_.store(true, std::memory_order_release);
   const bool was_running = running_.exchange(false);
+  // Shutdown wakes a blocked accept(); the fd is closed only after the
+  // join, so the accept thread can never call accept() on a closed (and
+  // possibly reassigned) fd number.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (tcp_listen_fd_ >= 0) {
-    ::shutdown(tcp_listen_fd_, SHUT_RDWR);
-    ::close(tcp_listen_fd_);
-    tcp_listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (tcp_accept_thread_.joinable()) tcp_accept_thread_.join();
   // Kick every live connection (unblocks reads; a handler parked inside a
   // long "wait" op notices stopping_ within one wait slice), then join
   // every handler thread.  After the joins no connection code can run, so
@@ -413,23 +313,24 @@ void Server::stop() {
     finished_.clear();
   }
   for (auto& [id, t] : remaining) t.join();
-  if (was_running && !opts_.socket_path.empty())
-    ::unlink(opts_.socket_path.c_str());
+  if (was_running) ::unlink(opts_.socket_path.c_str());
 }
 
-void Server::accept_loop(int listen_fd, bool tcp) {
+void Server::accept_loop() {
   while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
+      const int err = errno;
       if (!running_.load(std::memory_order_acquire)) break;
-      if (errno == EINTR) continue;
-      break;  // listener closed underneath us
-    }
-    if (tcp) {
-      // Request/response lines are small; Nagle would add 40ms to every
-      // sub-MSS exchange on loopback.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      if (err == EINTR || err == ECONNABORTED || err == EPROTO) continue;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Out of fds or kernel memory: the pending connection stays in the
+        // backlog, so back off briefly and retry instead of letting the
+        // daemon run on without an accept thread.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      break;  // listener shut down underneath us
     }
     // Joining finished predecessors here bounds the registry at the
     // number of *live* connections plus the already-finished ones since
@@ -452,33 +353,22 @@ void Server::serve_connection(int fd, uint64_t conn_id) {
   std::string buf;
   char chunk[4096];
   bool drop = false;
+  const auto oversize_error = [this] {
+    return envelope_error(metrics_json_now(),
+                          Status::InvalidArgument(
+                              "request exceeds " +
+                              std::to_string(kMaxRequestBytes) + " bytes"));
+  };
   while (!drop) {
-    if (opts_.idle_timeout_ms > 0) {
-      // Idle timeout (ISSUE 8): a connection that sends nothing within
-      // the window is dropped, so slow/hostile peers cannot pin handler
-      // threads forever.  stop()'s shutdown() wakes the poll too.
-      pollfd pfd{fd, POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, opts_.idle_timeout_ms);
-      if (pr == 0) break;  // idle too long
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-    }
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) break;  // EOF, shutdown, or error
     buf.append(chunk, static_cast<size_t>(n));
     // Oversized-request rejection (ISSUE 8): cap the unframed buffer as
     // well as each complete line, then drop the connection — there is no
     // way to resynchronise a stream mid-oversized-line.
-    if (buf.size() > opts_.max_request_bytes &&
+    if (buf.size() > kMaxRequestBytes &&
         buf.find('\n') == std::string::npos) {
-      send_all(fd, envelope_error(
-                       metrics_json_now(),
-                       Status::InvalidArgument(
-                           "request exceeds max_request_bytes (" +
-                           std::to_string(opts_.max_request_bytes) + ")")) +
-                       "\n");
+      send_all(fd, oversize_error() + "\n");
       break;
     }
     size_t nl;
@@ -486,13 +376,8 @@ void Server::serve_connection(int fd, uint64_t conn_id) {
       const std::string line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
       if (line.empty()) continue;
-      if (line.size() > opts_.max_request_bytes) {
-        send_all(fd, envelope_error(
-                         metrics_json_now(),
-                         Status::InvalidArgument(
-                             "request exceeds max_request_bytes (" +
-                             std::to_string(opts_.max_request_bytes) + ")")) +
-                         "\n");
+      if (line.size() > kMaxRequestBytes) {
+        send_all(fd, oversize_error() + "\n");
         drop = true;
         break;
       }
@@ -545,21 +430,9 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
   } else {
     const JsonValue& req = *parsed;
     const std::string op = req.get("op") ? req.get("op")->as_string() : "";
-    const std::string token =
-        req.get("token") ? req.get("token")->as_string() : "";
 
     try {
-      // Auth gate (ISSUE 8): a daemon started with tokens accepts nothing
-      // — not even ping — without one of them.
-      if (!opts_.auth_tokens.empty() &&
-          std::find(opts_.auth_tokens.begin(), opts_.auth_tokens.end(),
-                    token) == opts_.auth_tokens.end()) {
-        resp = envelope_error(
-            metrics_json_now(),
-            Status::Unauthenticated(token.empty()
-                                        ? "missing 'token'"
-                                        : "unrecognised auth token"));
-      } else if (op == "ping") {
+      if (op == "ping") {
         JsonWriter w = envelope_begin();
         w.field("pong", true);
         resp = envelope_finish(metrics_json_now(), w);
@@ -586,7 +459,7 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
         w.end_object();
         resp = envelope_finish(to_json(m), w);
       } else if (op == "submit") {
-        resp = handle_submit(req, token);
+        resp = handle_submit(req);
       } else if (op == "status" || op == "wait" || op == "cancel" ||
                  op == "watch") {
         resp = handle_job_op(req, op, push);
@@ -639,8 +512,7 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
   return resp;
 }
 
-std::string Server::handle_submit(const JsonValue& req,
-                                  const std::string& token) {
+std::string Server::handle_submit(const JsonValue& req) {
   const std::string kind =
       req.get("kind") ? req.get("kind")->as_string("pipeline") : "pipeline";
   const JsonValue* wlname = req.get("workload");
@@ -695,78 +567,7 @@ std::string Server::handle_submit(const JsonValue& req,
   auto wlp = engine_.workload(wlname->as_string());
   if (!wlp.ok()) return envelope_error(metrics_json_now(), wlp.status());
 
-  // Per-token quotas (ISSUE 8): a token-bucket on submit rate and a cap
-  // on unfinished jobs, both rejecting with RESOURCE_EXHAUSTED and a
-  // structured retry_after_ms instead of queueing the excess.
-  std::shared_ptr<TokenState> ts;
-  if (opts_.token_rate > 0.0 || opts_.token_max_inflight > 0) {
-    ts = quotas_->get(token);
-    std::lock_guard<std::mutex> lock(ts->mu);
-    if (opts_.token_rate > 0.0) {
-      const double burst = opts_.token_burst > 0.0
-                               ? opts_.token_burst
-                               : std::max(1.0, opts_.token_rate);
-      const auto now = std::chrono::steady_clock::now();
-      if (!ts->bucket_init) {
-        ts->bucket = burst;
-        ts->bucket_init = true;
-      } else {
-        const double dt =
-            std::chrono::duration<double>(now - ts->last_refill).count();
-        ts->bucket = std::min(burst, ts->bucket + dt * opts_.token_rate);
-      }
-      ts->last_refill = now;
-      if (ts->bucket < 1.0) {
-        const int64_t retry_ms = static_cast<int64_t>(
-            std::ceil((1.0 - ts->bucket) / opts_.token_rate * 1000.0));
-        return envelope_error(
-            metrics_json_now(),
-            Status::ResourceExhausted("submit rate quota exceeded for token"),
-            std::max<int64_t>(1, retry_ms));
-      }
-      ts->bucket -= 1.0;
-    }
-    if (opts_.token_max_inflight > 0 &&
-        ts->inflight >= opts_.token_max_inflight) {
-      // Back-off hint: the mean job wall time is when a slot plausibly
-      // frees up; clamped so a cold daemon still gives a sane hint.
-      const MetricsSnapshot m = engine_.metrics_snapshot();
-      const uint64_t term = m.jobs_done + m.jobs_failed + m.jobs_cancelled +
-                            m.jobs_deadline_exceeded;
-      const int64_t mean_ms =
-          term ? static_cast<int64_t>(m.job_wall_us_total / term / 1000)
-               : 100;
-      return envelope_error(
-          metrics_json_now(),
-          Status::ResourceExhausted(
-              std::string("token in-flight quota (") +
-              std::to_string(opts_.token_max_inflight) + ") exceeded"),
-          std::clamp<int64_t>(mean_ms, 50, 5000));
-    }
-    ts->inflight += 1;
-  }
-
-  Job job;
-  try {
-    job = engine_.submit(std::move(jr));
-  } catch (...) {
-    if (ts) {
-      std::lock_guard<std::mutex> lock(ts->mu);
-      ts->inflight -= 1;
-    }
-    throw;
-  }
-  if (ts) {
-    // The listener owns the state through shared_ptrs — it may fire after
-    // this Server is long gone (the Engine outlives it).
-    auto table = quotas_;
-    auto state = ts;
-    job.on_terminal([table, state] {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (state->inflight > 0) state->inflight -= 1;
-    });
-  }
-
+  const Job job = engine_.submit(std::move(jr));
   JsonWriter w = envelope_begin();
   write_job_fields(w, job);
   return envelope_finish(metrics_json_now(), w);
@@ -840,52 +641,11 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
   if (watched_event) w.field("event", "terminal");
   write_job_fields(w, *job);
 
-  // Result attachment (wait and watch): inline by default; with
-  // "stream":true a result larger than chunk_bytes is sliced into
-  // follow-up {"chunk":..} lines so one huge campaign snapshot cannot
-  // monopolise the line buffer of every proxy between us and the client.
-  std::string extra_lines;
   if ((op == "wait" || op == "watch") && job->state() == JobState::kDone) {
     const std::string result = result_json_for(*job);
-    if (!result.empty()) {
-      const bool stream =
-          req.get("stream") ? req.get("stream")->as_bool(false) : false;
-      size_t chunk_bytes =
-          req.get("chunk_bytes")
-              ? static_cast<size_t>(
-                    std::max<int64_t>(256, req.get("chunk_bytes")->as_int(4096)))
-              : 4096;
-      if (stream && result.size() > chunk_bytes) {
-        const size_t n_chunks = (result.size() + chunk_bytes - 1) / chunk_bytes;
-        w.field("result_bytes", static_cast<uint64_t>(result.size()));
-        w.field("result_chunks", static_cast<uint64_t>(n_chunks));
-        for (size_t i = 0; i < n_chunks; ++i) {
-          JsonWriter cw;
-          cw.begin_object();
-          cw.field("chunk", static_cast<uint64_t>(i));
-          cw.field("of", static_cast<uint64_t>(n_chunks));
-          cw.field("data",
-                   result.substr(i * chunk_bytes,
-                                 std::min(chunk_bytes,
-                                          result.size() - i * chunk_bytes)));
-          cw.end_object();
-          extra_lines += '\n';
-          extra_lines += cw.str();
-        }
-      } else {
-        w.raw("result", result);
-      }
-    }
+    if (!result.empty()) w.raw("result", result);
   }
-  return envelope_finish(metrics_json_now(), w) + extra_lines;
-}
-
-int64_t envelope_retry_after_ms(const JsonValue& envelope) {
-  const JsonValue* err = envelope.get("error");
-  if (!err) return -1;
-  const JsonValue* ra = err->get("retry_after_ms");
-  if (!ra || !ra->is_number()) return -1;
-  return ra->as_int(-1);
+  return envelope_finish(metrics_json_now(), w);
 }
 
 // ---------------------------------------------------------------- Client
@@ -900,49 +660,33 @@ bool connect_errno_transient(int err) {
          err == ETIMEDOUT;
 }
 
-/// One connect attempt with a deadline: non-blocking connect + poll so a
-/// daemon wedged inside accept() cannot hang the caller.  Returns the
-/// connected (blocking-mode) fd, or -1 with errno describing the failure
-/// (ETIMEDOUT for a poll timeout).
-int connect_once(const sockaddr* addr, socklen_t addr_len, int family,
-                 int timeout_ms) {
-  const int fd = ::socket(family, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, addr, addr_len) < 0) {
-    if (errno != EINPROGRESS && errno != EAGAIN) {
-      const int err = errno;
-      ::close(fd);
-      errno = err;
-      return -1;
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    const int pr = ::poll(&pfd, 1, timeout_ms < 0 ? -1 : timeout_ms);
-    if (pr <= 0) {
-      ::close(fd);
-      errno = pr == 0 ? ETIMEDOUT : errno;
-      return -1;
-    }
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) < 0 ||
-        soerr != 0) {
-      ::close(fd);
-      errno = soerr != 0 ? soerr : errno;
-      return -1;
-    }
+/// SO_RCVTIMEO / SO_SNDTIMEO; timeout_ms <= 0 sets no timeout.
+void set_socket_timeout(int fd, int opt, int timeout_ms) {
+  timeval tv{};
+  if (timeout_ms > 0) {
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
   }
-  // Back to blocking mode: call() relies on SO_RCVTIMEO/SO_SNDTIMEO.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  return fd;
+  ::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv));
 }
 
-void set_socket_timeout(int fd, int opt, int timeout_ms) {
-  if (timeout_ms <= 0) return;  // 0 = no timeout (kernel default)
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv));
+/// One connect attempt with a deadline.  An AF_UNIX connect either
+/// completes at once or waits for room in the daemon's accept backlog; the
+/// send timeout bounds that wait (EAGAIN on expiry, a transient error), so
+/// a daemon wedged outside accept() cannot hang the caller.  Returns the
+/// connected fd, or -1 with errno describing the failure.
+int connect_once(const sockaddr_un& addr, int timeout_ms) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  set_socket_timeout(fd, SO_SNDTIMEO, timeout_ms);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
+      0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+  }
+  return fd;
 }
 
 /// Bounded retry with exponential backoff + jitter (PR 6 satellite): a
@@ -950,15 +694,15 @@ void set_socket_timeout(int fd, int opt, int timeout_ms) {
 /// milliseconds; retrying with jittered backoff absorbs that without a
 /// thundering herd.  Non-transient errors (EACCES, ...) fail immediately.
 /// Returns the fd (>= 0) or -1 with `out_status` set.
-int connect_with_retry(const sockaddr* addr, socklen_t addr_len, int family,
-                       const ClientOptions& opts, const std::string& what,
-                       const void* jitter_salt, Status& out_status) {
+int connect_with_retry(const sockaddr_un& addr, const ClientOptions& opts,
+                       const std::string& what, const void* jitter_salt,
+                       Status& out_status) {
   uint64_t jitter_state =
       static_cast<uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ULL ^
       reinterpret_cast<uintptr_t>(jitter_salt);
   int backoff_ms = opts.backoff_initial_ms;
   for (int attempt = 0; attempt <= opts.retries; ++attempt) {
-    const int fd = connect_once(addr, addr_len, family, opts.connect_timeout_ms);
+    const int fd = connect_once(addr, opts.connect_timeout_ms);
     if (fd >= 0) {
       out_status = Status::Ok();
       return fd;
@@ -986,14 +730,6 @@ int connect_with_retry(const sockaddr* addr, socklen_t addr_len, int family,
 
 }  // namespace
 
-void Client::finish_connect(const std::string& what) {
-  (void)what;
-  if (fd_ >= 0) {
-    set_socket_timeout(fd_, SO_RCVTIMEO, opts_.read_timeout_ms);
-    set_socket_timeout(fd_, SO_SNDTIMEO, opts_.read_timeout_ms);
-  }
-}
-
 Client::Client(const std::string& socket_path, ClientOptions opts)
     : opts_(std::move(opts)) {
   sockaddr_un addr{};
@@ -1003,43 +739,12 @@ Client::Client(const std::string& socket_path, ClientOptions opts)
   }
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  fd_ = connect_with_retry(reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr), AF_UNIX, opts_,
-                           "connect " + socket_path, this, status_);
-  finish_connect(socket_path);
-}
-
-Client::Client(const std::string& host, int port, ClientOptions opts)
-    : opts_(std::move(opts)) {
-  if (port <= 0 || port > 65535) {
-    status_ = Status::InvalidArgument("bad port " + std::to_string(port));
-    return;
-  }
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  addrinfo* res = nullptr;
-  const int gai =
-      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &res);
-  if (gai != 0 || !res) {
-    status_ = Status::InvalidArgument("resolve " + host + ": " +
-                                      ::gai_strerror(gai));
-    if (res) ::freeaddrinfo(res);
-    return;
-  }
-  const std::string what = "connect " + host + ":" + std::to_string(port);
-  for (addrinfo* ai = res; ai; ai = ai->ai_next) {
-    fd_ = connect_with_retry(ai->ai_addr, ai->ai_addrlen, ai->ai_family,
-                             opts_, what, this, status_);
-    if (fd_ >= 0) break;
-  }
-  ::freeaddrinfo(res);
+  fd_ = connect_with_retry(addr, opts_, "connect " + socket_path, this,
+                           status_);
   if (fd_ >= 0) {
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_socket_timeout(fd_, SO_RCVTIMEO, opts_.read_timeout_ms);
+    set_socket_timeout(fd_, SO_SNDTIMEO, opts_.read_timeout_ms);
   }
-  finish_connect(what);
 }
 
 Client::~Client() {
@@ -1092,38 +797,10 @@ StatusOr<std::string> Client::call(const std::string& request_line) {
   return read_line();
 }
 
-StatusOr<JsonValue> Client::absorb_chunks(JsonValue envelope) {
-  const JsonValue* rc = envelope.get("result_chunks");
-  if (!rc || !rc->is_number() || rc->as_int() <= 0) return envelope;
-  const int64_t n_chunks = rc->as_int();
-  std::string data;
-  const JsonValue* rb = envelope.get("result_bytes");
-  if (rb && rb->is_number()) data.reserve(static_cast<size_t>(rb->as_int()));
-  for (int64_t i = 0; i < n_chunks; ++i) {
-    auto line = read_line();
-    if (!line.ok()) return line.status();
-    auto chunk = parse_json(*line);
-    if (!chunk.ok()) return chunk.status();
-    const JsonValue* d = chunk->get("data");
-    if (!d || !d->is_string())
-      return Status::DataLoss("chunk " + std::to_string(i) +
-                              " carries no 'data'");
-    data += d->str_v;
-  }
-  auto result = parse_json(data);
-  if (!result.ok())
-    return Status::DataLoss("reassembled result is not valid JSON: " +
-                            result.status().message());
-  envelope.members.emplace_back("result", std::move(*result));
-  return envelope;
-}
-
 StatusOr<JsonValue> Client::call_json(const std::string& request_line) {
   auto resp = call(request_line);
   if (!resp.ok()) return resp.status();
-  auto parsed = parse_json(*resp);
-  if (!parsed.ok()) return parsed.status();
-  return absorb_chunks(std::move(*parsed));
+  return parse_json(*resp);
 }
 
 StatusOr<JsonValue> Client::watch(
@@ -1134,7 +811,6 @@ StatusOr<JsonValue> Client::watch(
   w.field("op", "watch");
   w.field("job", job);
   w.field("timeout_ms", static_cast<int64_t>(timeout_ms));
-  if (!opts_.token.empty()) w.field("token", opts_.token);
   w.end_object();
   auto first = call(w.str());
   if (!first.ok()) return first.status();
@@ -1150,8 +826,7 @@ StatusOr<JsonValue> Client::watch(
       line = std::move(*next);
       continue;
     }
-    // Terminal (or error) envelope — possibly followed by result chunks.
-    return absorb_chunks(std::move(*parsed));
+    return parsed;  // terminal (or error) envelope
   }
 }
 

@@ -23,14 +23,11 @@ enum class StatusCode {
   kNotFound,            ///< unknown workload / missing cache entry
   kFailedPrecondition,  ///< IR verification failed
   kDataLoss,            ///< corrupt or stale on-disk cache entry
-  kResourceExhausted,   ///< bounded queue rejected the submission
   kInternal,            ///< unexpected failure inside the core
   kCancelled,           ///< job cancelled by the caller
   kDeadlineExceeded,    ///< per-request deadline elapsed (queued or running)
   kUnavailable,         ///< transient transport failure (daemon not up,
                         ///< connection lost, socket timeout) — retryable
-  kUnauthenticated,     ///< missing or invalid auth token (ISSUE 8 TCP
-                        ///< transport) — not retryable without a new token
 };
 
 inline const char* status_code_name(StatusCode c) {
@@ -40,12 +37,10 @@ inline const char* status_code_name(StatusCode c) {
     case StatusCode::kNotFound: return "NOT_FOUND";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
     case StatusCode::kDataLoss: return "DATA_LOSS";
-    case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case StatusCode::kInternal: return "INTERNAL";
     case StatusCode::kCancelled: return "CANCELLED";
     case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
     case StatusCode::kUnavailable: return "UNAVAILABLE";
-    case StatusCode::kUnauthenticated: return "UNAUTHENTICATED";
   }
   return "UNKNOWN";
 }
@@ -69,9 +64,6 @@ class Status {
   static Status DataLoss(std::string m) {
     return Status(StatusCode::kDataLoss, std::move(m));
   }
-  static Status ResourceExhausted(std::string m) {
-    return Status(StatusCode::kResourceExhausted, std::move(m));
-  }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
   }
@@ -83,9 +75,6 @@ class Status {
   }
   static Status Unavailable(std::string m) {
     return Status(StatusCode::kUnavailable, std::move(m));
-  }
-  static Status Unauthenticated(std::string m) {
-    return Status(StatusCode::kUnauthenticated, std::move(m));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

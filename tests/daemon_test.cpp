@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <clocale>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -532,6 +536,37 @@ TEST(ClientRetry, SilentServerReadTimesOutAsUnavailable) {
   ::unlink(sock.c_str());
 }
 
+TEST(ClientRetry, FullBacklogIsUnavailableNotAFalseConnect) {
+  // A listener that never accepts, with its backlog already full: the
+  // connect can only wait for room, and its deadline must surface as
+  // kUnavailable rather than a Client that reports OK on a socket that
+  // never connected.
+  const std::string sock = "./gpurfd_full_backlog.sock";
+  ::unlink(sock.c_str());
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 0), 0);
+  const int queued = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(queued, 0);
+  ASSERT_EQ(::connect(queued, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  api::ClientOptions copts;
+  copts.retries = 0;
+  copts.connect_timeout_ms = 100;
+  api::Client client(sock, copts);
+  EXPECT_EQ(client.status().code(), StatusCode::kUnavailable)
+      << client.status().to_string();
+  ::close(queued);
+  ::close(lfd);
+  ::unlink(sock.c_str());
+}
+
 // ------------------------------------------------------ graceful drain
 //
 // PR 6 satellite: gpurfd's shutdown sequence is server.stop() followed by
@@ -609,29 +644,26 @@ TEST(Daemon, OverlongSocketPathIsInvalidArgumentOnBothEnds) {
   EXPECT_EQ(st2.code(), StatusCode::kInvalidArgument);
 }
 
-// --------------------------------------------------- TCP shutdown stress
+// ------------------------------------------------------ shutdown stress
 //
-// ISSUE 8 satellite: the ShutdownUnderConcurrentClients scenario, over
-// TCP, with the new ops (watch, cancel) in the mix.  Run under TSan this is the tripwire for races between the quota
-// table, the watch push path and the joinable-thread shutdown sequence.
+// The ShutdownUnderConcurrentClients scenario with the watch and cancel
+// ops in the mix.  Run under TSan this is the tripwire for races between
+// the watch push path and the joinable-thread shutdown sequence.
 
-TEST(Daemon, TcpShutdownStressWithSubmitCancelWatch) {
+TEST(Daemon, ShutdownStressWithSubmitCancelWatch) {
   Engine engine(EngineOptions().with_threads(2).with_disk_cache(false));
+  const std::string sock = "./gpurfd_stress.sock";
   for (int round = 0; round < 3; ++round) {
     std::atomic<bool> go{false};
     std::atomic<int> responses{0};
     {
-      api::ServerOptions sopts;
-      sopts.listen_port = 0;
-      api::Server server(engine, sopts);
+      api::Server server(engine, unix_opts(sock));
       ASSERT_TRUE(server.start().ok());
-      const int port = server.tcp_port();
-      ASSERT_GT(port, 0);
 
       std::vector<std::thread> clients;
       for (int c = 0; c < 8; ++c) {
         clients.emplace_back([&, c] {
-          api::Client client("127.0.0.1", port);
+          api::Client client(sock);
           if (!client.status().ok()) return;
           while (!go.load(std::memory_order_acquire)) {}
           uint64_t last_id = 1;
@@ -675,6 +707,67 @@ TEST(Daemon, TcpShutdownStressWithSubmitCancelWatch) {
     // cancelled stragglers do not pile up.
     engine.drain(5000);
   }
+}
+
+// ------------------------------------------------- accept-loop resilience
+//
+// accept() failing with EMFILE (the process is out of descriptors) must
+// not end the accept thread: the pending connection stays in the backlog,
+// so once descriptors free up the daemon accepts it and every later one.
+
+TEST(Daemon, AcceptLoopSurvivesDescriptorExhaustion) {
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  const std::string sock = "./gpurfd_emfile.sock";
+  api::Server server(engine, unix_opts(sock));
+  ASSERT_TRUE(server.start().ok());
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  const int pending = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(pending, 0);
+
+  // Cap the soft descriptor limit just above the highest open fd and fill
+  // every free slot below it, so the server's next accept() hits EMFILE.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  int max_fd = pending;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd"))
+    max_fd = std::max(max_fd, std::atoi(entry.path().filename().c_str()));
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(max_fd) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(pending)) >= 0;) fillers.push_back(fd);
+  const int dup_errno = errno;
+
+  // The connect needs no new descriptor; it parks in the backlog while
+  // the accept thread fails with EMFILE.
+  const int rc = ::connect(pending, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr));
+  const int connect_errno = errno;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(dup_errno, EMFILE);
+  ASSERT_EQ(rc, 0) << std::strerror(connect_errno);
+
+  api::ClientOptions copts;
+  copts.retries = 0;
+  copts.connect_timeout_ms = 2000;
+  copts.read_timeout_ms = 3000;
+  const auto t0 = std::chrono::steady_clock::now();
+  api::Client client(sock, copts);
+  ASSERT_TRUE(client.status().ok()) << client.status().to_string();
+  auto pong = client.call_json(R"({"op":"ping"})");
+  ASSERT_TRUE(pong.ok()) << pong.status().to_string();
+  EXPECT_TRUE(pong->get("ok")->as_bool());
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            3.0);
+  ::close(pending);
+  server.stop();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // gpurfd — long-lived daemon serving one gpurf Engine over a local
-// AF_UNIX socket and/or TCP (ISSUE 4; TCP, auth and quotas since ISSUE 8).
+// AF_UNIX socket.
 // Clients speak newline-delimited JSON (see api/server.hpp for the wire
 // protocol): expensive tuning pipelines and timing simulations become
 // first-class jobs with deadlines, priorities, cancellation, progress and
@@ -7,20 +7,13 @@
 // snapshot.
 //
 // Usage:
-//   gpurfd [--socket PATH] [--listen HOST:PORT]
-//          [--threads N] [--cache-dir DIR] [--async-workers N]
-//          [--max-inflight N] [--no-disk-cache] [--drain-ms N]
-//          [--auth-token TOK]... [--token-max-inflight N]
-//          [--token-rate R] [--token-burst B]
-//          [--max-request-bytes N] [--idle-timeout-ms N]
-//
-// At least one of --socket / --listen is required.  --auth-token may
-// repeat; once any token is set, every request must
-// carry a matching "token" field.
+//   gpurfd --socket PATH [--threads N] [--cache-dir DIR]
+//          [--async-workers N] [--max-inflight N] [--no-disk-cache]
+//          [--drain-ms N]
 //
 // Runs until a client sends {"op":"shutdown"} or the process receives
-// SIGINT/SIGTERM.  Shutdown is graceful (PR 6 satellite): the listeners
-// close first (no new requests), then still-queued jobs are cancelled
+// SIGINT/SIGTERM.  Shutdown is graceful: the listener
+// closes first (no new requests), then still-queued jobs are cancelled
 // and running jobs get up to --drain-ms (default 5000) to finish before
 // being cancelled cooperatively; only then does the process exit.
 
@@ -43,13 +36,9 @@ void on_signal(int) { g_signal = 1; }
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--socket PATH] [--listen HOST:PORT]\n"
-      "          [--threads N] [--cache-dir DIR] [--async-workers N]\n"
-      "          [--max-inflight N] [--no-disk-cache] [--drain-ms N]\n"
-      "          [--auth-token TOK]... [--token-max-inflight N]\n"
-      "          [--token-rate R] [--token-burst B]\n"
-      "          [--max-request-bytes N] [--idle-timeout-ms N]\n"
-      "(at least one of --socket / --listen)\n",
+      "usage: %s --socket PATH [--threads N] [--cache-dir DIR]\n"
+      "          [--async-workers N] [--max-inflight N] [--no-disk-cache]\n"
+      "          [--drain-ms N]\n",
       argv0);
   return 2;
 }
@@ -71,27 +60,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       sopts.socket_path = v;
-    } else if (arg("--listen")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      // HOST:PORT, with a bare ":PORT" (or "PORT") binding the default
-      // loopback host.
-      const std::string hp = v;
-      const size_t colon = hp.rfind(':');
-      std::string port_str;
-      if (colon == std::string::npos) {
-        port_str = hp;
-      } else {
-        if (colon > 0) sopts.listen_host = hp.substr(0, colon);
-        port_str = hp.substr(colon + 1);
-      }
-      char* end = nullptr;
-      const long port = std::strtol(port_str.c_str(), &end, 10);
-      if (port_str.empty() || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "gpurfd: bad --listen '%s' (HOST:PORT)\n", v);
-        return 2;
-      }
-      sopts.listen_port = static_cast<int>(port);
     } else if (arg("--threads")) {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -114,36 +82,11 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       drain_ms = std::atol(v);
-    } else if (arg("--auth-token")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sopts.auth_tokens.push_back(v);
-    } else if (arg("--token-max-inflight")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sopts.token_max_inflight = static_cast<size_t>(std::atoll(v));
-    } else if (arg("--token-rate")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sopts.token_rate = std::atof(v);
-    } else if (arg("--token-burst")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sopts.token_burst = std::atof(v);
-    } else if (arg("--max-request-bytes")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sopts.max_request_bytes = static_cast<size_t>(std::atoll(v));
-    } else if (arg("--idle-timeout-ms")) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sopts.idle_timeout_ms = std::atoi(v);
     } else {
       return usage(argv[0]);
     }
   }
-  if (sopts.socket_path.empty() && sopts.listen_port < 0)
-    return usage(argv[0]);
+  if (sopts.socket_path.empty()) return usage(argv[0]);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -156,15 +99,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpurf::EngineOptions& eo = engine.options();
-  if (!sopts.socket_path.empty())
-    std::printf("gpurfd listening on %s", sopts.socket_path.c_str());
-  if (server.tcp_port() >= 0)
-    std::printf("%s%s:%d", sopts.socket_path.empty() ? "gpurfd listening on "
-                                                     : " and ",
-                sopts.listen_host.c_str(), server.tcp_port());
-  std::printf(" (threads=%d, async_workers=%d, max_inflight=%zu%s)\n",
-              eo.threads, eo.async_workers, eo.max_inflight,
-              sopts.auth_tokens.empty() ? "" : ", auth on");
+  std::printf("gpurfd listening on %s (threads=%d, async_workers=%d, "
+              "max_inflight=%zu)\n",
+              sopts.socket_path.c_str(), eo.threads, eo.async_workers,
+              eo.max_inflight);
   std::fflush(stdout);
 
   // Wait for a client shutdown request or a signal.
