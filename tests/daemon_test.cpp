@@ -421,16 +421,19 @@ TEST(Daemon, ShutdownUnderConcurrentClients) {
   for (int round = 0; round < 3; ++round) {
     const std::string sock =
         "./gpurfd_stress_" + std::to_string(round) + ".sock";
+    constexpr int kClients = 8;
     std::atomic<bool> go{false};
     std::atomic<int> responses{0};
+    std::atomic<int> settled{0};  // clients connected or failed to
     {
       api::Server server(engine, unix_opts(sock));
       ASSERT_TRUE(server.start().ok());
 
       std::vector<std::thread> clients;
-      for (int c = 0; c < 8; ++c) {
+      for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
           api::Client client(sock);
+          settled.fetch_add(1, std::memory_order_release);
           if (!client.status().ok()) return;
           while (!go.load(std::memory_order_acquire)) {}
           for (int i = 0; i < 50; ++i) {
@@ -448,6 +451,13 @@ TEST(Daemon, ShutdownUnderConcurrentClients) {
           }
         });
       }
+      // Start the clock only once every client has connected (or given
+      // up), so slow thread start-up under load cannot eat the window.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (settled.load(std::memory_order_acquire) < kClients &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       go.store(true, std::memory_order_release);
       // Let the traffic overlap the stop: some requests complete, some
       // race the shutdown.
@@ -654,16 +664,19 @@ TEST(Daemon, ShutdownStressWithSubmitCancelWatch) {
   Engine engine(EngineOptions().with_threads(2).with_disk_cache(false));
   const std::string sock = "./gpurfd_stress.sock";
   for (int round = 0; round < 3; ++round) {
+    constexpr int kClients = 8;
     std::atomic<bool> go{false};
     std::atomic<int> responses{0};
+    std::atomic<int> settled{0};  // clients connected or failed to
     {
       api::Server server(engine, unix_opts(sock));
       ASSERT_TRUE(server.start().ok());
 
       std::vector<std::thread> clients;
-      for (int c = 0; c < 8; ++c) {
+      for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
           api::Client client(sock);
+          settled.fetch_add(1, std::memory_order_release);
           if (!client.status().ok()) return;
           while (!go.load(std::memory_order_acquire)) {}
           uint64_t last_id = 1;

@@ -14,6 +14,7 @@
 #include "analysis/range_analysis.hpp"
 #include "api/engine.hpp"
 #include "api/json.hpp"
+#include "common/error.hpp"
 #include "ir/parser.hpp"
 #include "sim/cache.hpp"
 #include "sim/gpu.hpp"
@@ -375,6 +376,51 @@ TEST(Simulate, OneInstructionKernelCountsExactCycles) {
                            CompressionConfig::baseline(), four.spec);
   EXPECT_EQ(r4.stats.cycles, 2u);
   EXPECT_EQ(r4.stats.warp_insts, 4u);
+}
+
+TEST(Simulate, SharedBankConflictDegree) {
+  // One warp loads shared word tid * stride under a tid < active guard,
+  // and the add waits on the load.  Shared memory has 32 word-interleaved
+  // banks, and the conflict degree (max distinct words in one bank) adds
+  // degree - 1 cycles of latency.  Stride 1, a broadcast (stride 0) and
+  // every mask spanning fewer than 32 words have degree 1; stride 33 spans
+  // 1,024 words with one word per bank; stride 2 has degree 2; stride 32
+  // puts every active lane in bank 0.
+  constexpr std::string_view kStrided = R"(
+.kernel shared_stride
+.param s32 stride
+.param s32 active
+.reg s32 %t
+.reg s32 %a
+.reg s32 %r
+.reg pred %p
+entry:
+  mov.s32 %t, %tid.x
+  mul.s32 %a, %t, $stride
+  setp.lt.s32 %p, %t, $active
+  @%p ld.shared.s32 %r, [%a]
+  add.s32 %r, %r, 1
+  ret
+)";
+  const struct {
+    uint32_t stride, active;
+    uint64_t cycles;
+  } cases[] = {
+      {1, 32, 73},  {2, 32, 74}, {32, 32, 104}, {33, 32, 73},
+      {0, 32, 73},  {2, 16, 73}, {32, 8, 80},
+  };
+  for (const auto& c : cases) {
+    SimRig rig(kStrided, LaunchConfig{1, 1, 32, 1});
+    rig.k.shared_bytes = 4 * 1024;
+    rig.spec.params = {c.stride, c.active};
+    rig.spec.regs_per_thread = 4;
+    const auto res = simulate(GpuConfig::fermi_gtx480(),
+                              CompressionConfig::baseline(), rig.spec);
+    const std::string what = "stride " + std::to_string(c.stride) +
+                             " active " + std::to_string(c.active);
+    EXPECT_EQ(res.stats.cycles, c.cycles) << what;
+    EXPECT_EQ(res.stats.warp_insts, 6u) << what;
+  }
 }
 
 TEST(Simulate, ZeroThreadBlockShapeIsRejected) {
@@ -771,6 +817,27 @@ void expect_golden(const SimResult& r, const char* digest,
       << what << ": " << gpurf::api::to_json(r);
 }
 
+/// Simulates `workload`'s sample-scale launch, untuned, at its original
+/// register pressure: the baseline pipeline, or the compressed pipeline's
+/// extra stages with no allocation.
+SimResult simulate_original_pressure(const std::string& workload,
+                                     const GpuConfig& g, bool compressed) {
+  std::unique_ptr<wl::Workload> w;
+  for (auto& cand : wl::make_all_workloads())
+    if (cand->spec().name == workload) w = std::move(cand);
+  GPURF_CHECK(w, "no workload " << workload);
+  wl::PipelineResult pr;
+  pr.pressure.original = gpurf::alloc::allocate_slices(
+                             w->kernel(), nullptr, nullptr, {false, false})
+                             .num_physical_regs;
+  auto inst = w->make_instance(wl::Scale::kSample, 0);
+  const auto spec = wl::make_launch_spec(*w, inst, pr, wl::SimMode::kOriginal);
+  return simulate(g,
+                  compressed ? CompressionConfig::paper_default()
+                             : CompressionConfig::baseline(),
+                  spec);
+}
+
 TEST(SimGolden, OriginalPressureLaunches) {
   // No tuning: the launch runs at the original register pressure, under
   // both the baseline pipeline and the compressed pipeline's extra stages
@@ -788,25 +855,64 @@ TEST(SimGolden, OriginalPressureLaunches) {
       {"GICOV", false, "0xec545061fe164cd7"},
       {"GICOV", true, "0x988a335137a17e0e"},
   };
+  for (const Case& c : cases)
+    expect_golden(
+        simulate_original_pressure(c.workload, GpuConfig::fermi_gtx480(),
+                                   c.compressed),
+        c.digest,
+        std::string(c.workload) + (c.compressed ? " compressed" : " baseline"));
+}
+
+TEST(SimGolden, EdgeConfigs) {
+  // The per-SM bank, collector-unit and scheduler state at the extremes
+  // GpuConfig allows: one bank (every fetch conflicts) and 256 (bank ids
+  // fill their 8 bits), one collector unit and 64 (a full 64-bit mask),
+  // one warp scheduler and eight.
+  struct Case {
+    uint32_t banks, cus, scheds;
+    const char* digest[4];  ///< DWT2D base/comp, GICOV base/comp
+  };
+  const Case cases[] = {
+      {1, 1, 1,
+       {"0x4f2c1f5ef407c56c", "0xbd6ed556810685a0",
+        "0x4c8fe548842797b0", "0xd44e0e28f36d103e"}},
+      {1, 1, 8,
+       {"0xc7346d1737721d6b", "0x8e7afafc4e5e9d2f",
+        "0xf76c4a09849be493", "0x726ea65cd0dbc144"}},
+      {1, 64, 1,
+       {"0xfeadfef35fb04516", "0xaeee408b46881e9e",
+        "0xd81590512e19a1bc", "0xd487a2477adadf98"}},
+      {1, 64, 8,
+       {"0x2d0668a9cea8c3f8", "0xb5cb8478d0e525c6",
+        "0x7f19f866c6b41c5d", "0xf66c43a76ab60e1a"}},
+      {256, 1, 1,
+       {"0xf6bfd79cd353c96a", "0xd074797a032bf3fc",
+        "0xd18209444d59005c", "0x23b6f60fe186192d"}},
+      {256, 1, 8,
+       {"0x315c77c217f66f5b", "0xd6aca6617b7c6583",
+        "0x71374506a34fc3f4", "0x5dbeb9ceda16ea63"}},
+      {256, 64, 1,
+       {"0xbfde37bc1eb5201e", "0x56a8e29a2cfbe196",
+        "0x3a42b489263f1840", "0x02079d650d12b0ac"}},
+      {256, 64, 8,
+       {"0x82ff7d8241cc4c52", "0x2737132369889667",
+        "0x8adf7e429bf77f04", "0x7c10156460376b88"}},
+  };
   for (const Case& c : cases) {
-    std::unique_ptr<wl::Workload> w;
-    for (auto& cand : wl::make_all_workloads())
-      if (cand->spec().name == c.workload) w = std::move(cand);
-    ASSERT_TRUE(w) << c.workload;
-    wl::PipelineResult pr;
-    pr.pressure.original = gpurf::alloc::allocate_slices(
-                               w->kernel(), nullptr, nullptr, {false, false})
-                               .num_physical_regs;
-    auto inst = w->make_instance(wl::Scale::kSample, 0);
-    const auto spec =
-        wl::make_launch_spec(*w, inst, pr, wl::SimMode::kOriginal);
-    const auto res = simulate(GpuConfig::fermi_gtx480(),
-                              c.compressed ? CompressionConfig::paper_default()
-                                           : CompressionConfig::baseline(),
-                              spec);
-    expect_golden(res, c.digest,
-                  std::string(c.workload) +
-                      (c.compressed ? " compressed" : " baseline"));
+    GpuConfig g = GpuConfig::fermi_gtx480();
+    g.register_banks = c.banks;
+    g.collector_units = c.cus;
+    g.warp_schedulers = c.scheds;
+    int i = 0;
+    for (const char* workload : {"DWT2D", "GICOV"})
+      for (bool compressed : {false, true})
+        expect_golden(simulate_original_pressure(workload, g, compressed),
+                      c.digest[i++],
+                      std::string(workload) +
+                          (compressed ? " compressed" : " baseline") +
+                          " banks=" + std::to_string(c.banks) +
+                          " cus=" + std::to_string(c.cus) +
+                          " scheds=" + std::to_string(c.scheds));
   }
 }
 
