@@ -82,18 +82,6 @@ bool BlockExec::all_done() const {
   return true;
 }
 
-const Instruction* BlockExec::peek(uint32_t w) const {
-  const DecodedInst* dec = peek_decoded(w);
-  return dec ? dec->in : nullptr;
-}
-
-const DecodedInst* BlockExec::peek_decoded(uint32_t w) const {
-  const WarpState& ws = warps_[w];
-  if (ws.done()) return nullptr;
-  const StackEntry& tos = ws.stack_.back();
-  return &ka_->inst(tos.blk, tos.inst);
-}
-
 uint32_t BlockExec::special_value(ir::Special s, uint32_t warp_in_block,
                                   uint32_t lane) const {
   const uint32_t linear = warp_in_block * kWarpSize + lane;

@@ -109,13 +109,16 @@ class BlockExec {
   bool warp_done(uint32_t w) const { return warps_[w].done(); }
   bool all_done() const;
 
-  /// The instruction the warp will execute next (nullptr when done).
-  const gpurf::ir::Instruction* peek(uint32_t w) const;
-
-  /// Predecoded view of the next instruction (nullptr when done) — lets the
-  /// timing simulator reuse the decoded-stream flags instead of re-deriving
-  /// opcode classes per issue attempt.
-  const DecodedInst* peek_decoded(uint32_t w) const;
+  /// Predecoded view of the instruction the warp will execute next
+  /// (nullptr when done) — lets the timing simulator reuse the
+  /// decoded-stream flags instead of re-deriving opcode classes per issue
+  /// attempt.  Inline: the simulator calls it on every issue attempt.
+  const DecodedInst* peek_decoded(uint32_t w) const {
+    const WarpState& ws = warps_[w];
+    if (ws.done()) return nullptr;
+    const StackEntry& tos = ws.stack_.back();
+    return &ka_->inst(tos.blk, tos.inst);
+  }
 
   /// Execute exactly one warp instruction, describing it in `res`.
   void step(uint32_t w, StepResult& res);

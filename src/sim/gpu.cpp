@@ -25,7 +25,7 @@ namespace {
 
 constexpr int kNoIndex = -1;
 
-/// Execution latency by instruction class.
+/// Execution latency by instruction class (predecode only; see SimInst).
 uint32_t latency_of(const GpuConfig& g, const ir::Instruction& in) {
   switch (in.op) {
     case Opcode::MUL:
@@ -40,6 +40,55 @@ uint32_t latency_of(const GpuConfig& g, const ir::Instruction& in) {
   }
 }
 
+/// Per-instruction timing facts, predecoded once per launch from the
+/// shared decoded stream and indexed by DecodedInst::flat.  One read-only
+/// table serves every SM, so the issue, collector and dispatch paths read
+/// these instead of re-deriving them from the opcode on every attempt.
+struct SimInst {
+  /// Scoreboard registers: the register sources, then the guard, then the
+  /// destination when has_dst.
+  std::array<uint32_t, 5> sb_regs{};
+  uint8_t num_sb_regs = 0;
+  /// Distinct non-predicate register sources in operand order: the
+  /// collector unit's bank fetches.
+  std::array<uint32_t, 3> fetch_regs{};
+  uint8_t num_fetch_regs = 0;
+  bool has_dst = false;
+  UnitClass unit = UnitClass::SPU;
+  uint32_t dst = 0;
+  uint32_t latency = 0;  ///< latency_of(); LDST latency is resolved later
+};
+
+std::vector<SimInst> predecode_timing(const GpuConfig& g,
+                                      const ir::Kernel& k,
+                                      const exec::KernelAnalysis& ka) {
+  size_t n = 0;
+  for (uint32_t b = 0; b < ka.num_blocks(); ++b) n += ka.block_size(b);
+  std::vector<SimInst> table(n);
+  for (uint32_t b = 0; b < ka.num_blocks(); ++b)
+    for (uint32_t i = 0; i < ka.block_size(b); ++i) {
+      const exec::DecodedInst& dec = ka.inst(b, i);
+      const ir::Instruction& in = *dec.in;
+      SimInst& si = table[dec.flat];
+      for (int s = 0; s < in.num_srcs; ++s) {
+        if (!in.srcs[s].is_reg()) continue;
+        const uint32_t r = in.srcs[s].index;
+        si.sb_regs[si.num_sb_regs++] = r;
+        if (k.regs[r].type == ir::Type::PRED) continue;
+        const auto fetched = si.fetch_regs.begin() + si.num_fetch_regs;
+        if (std::find(si.fetch_regs.begin(), fetched, r) == fetched)
+          si.fetch_regs[si.num_fetch_regs++] = r;
+      }
+      if (in.guard != ir::kNoReg) si.sb_regs[si.num_sb_regs++] = in.guard;
+      si.has_dst = in.info().has_dst;
+      if (si.has_dst) si.sb_regs[si.num_sb_regs++] = in.dst;
+      si.unit = in.info().unit;
+      si.dst = in.dst;
+      si.latency = latency_of(g, in);
+    }
+  return table;
+}
+
 struct FetchReq {
   uint8_t bank = 0;
   bool served = false;
@@ -51,6 +100,7 @@ constexpr int kMaxFetches = 6;
 
 struct CuEntry {
   int warp = kNoIndex;
+  const SimInst* si = nullptr;  ///< timing facts of the held instruction
   uint64_t active_from = 0;  ///< fetch requests visible from this cycle
   uint64_t alloc_cycle = 0;  ///< age for arbitration
   std::array<FetchReq, kMaxFetches> fetches{};
@@ -141,10 +191,12 @@ class SmCore {
   /// shared: blocks of one launch write disjoint words (see gpu.hpp).
   SmCore(const GpuConfig& g, const CompressionConfig& cc,
          const KernelLaunchSpec& spec, const exec::ExecContext& base_ctx,
-         const Occupancy& occ, const SoftErrorModel* soft_model)
+         const Occupancy& occ, const SoftErrorModel* soft_model,
+         const SimInst* insts)
       : g_(g),
         cc_(cc),
         spec_(spec),
+        insts_(insts),
         ctx_(base_ctx),
         soft_model_(soft_model),
         l1_(g.l1),
@@ -379,10 +431,9 @@ class SmCore {
     for (int k = 0; k < nready; ++k) {
       const int c = ready_[k].second;
       CuEntry& cu = cus_[c];
-      const ir::Instruction& in = *cu.step.inst;
-      const UnitClass unit = in.info().unit;
+      const SimInst& si = *cu.si;
       uint64_t done_at = 0;
-      if (unit == UnitClass::LDST) {
+      if (si.unit == UnitClass::LDST) {
         if (now < ldst_free_) continue;
         const MemAccess ma = memory_access(now, cu);
         ldst_free_ = now + ma.transactions;
@@ -394,19 +445,19 @@ class SmCore {
           continue;
         }
         done_at = now + ma.latency;
-      } else if (unit == UnitClass::SFU) {
+      } else if (si.unit == UnitClass::SFU) {
         if (now < sfu_free_) continue;
         sfu_free_ = now + g_.sfu_initiation;
-        done_at = now + latency_of(g_, in);
+        done_at = now + si.latency;
       } else {
         if (spu_used_ >= 2) continue;  // two single-precision units
         ++spu_used_;
-        done_at = now + latency_of(g_, in);
+        done_at = now + si.latency;
       }
 
-      if (in.info().has_dst) {
+      if (si.has_dst) {
         const uint64_t wb_extra = cc_.enabled ? cc_.writeback_delay : 0;
-        wb_.push(WriteBack{done_at + wb_extra, cu.warp, in.dst});
+        wb_.push(WriteBack{done_at + wb_extra, cu.warp, si.dst});
       }
       release_cu(c);
     }
@@ -419,25 +470,29 @@ class SmCore {
     // One read port per bank: serve the oldest pending request per bank.
     // One pass over the CUs in index order; the strict < keeps the lowest
     // CU index among equal ages, and a CU's later fetch to a bank never
-    // displaces its own earlier one.
-    std::fill_n(grant_.begin(), g_.register_banks, BankGrant{});
+    // displaces its own earlier one.  grant_ is all-empty between ticks:
+    // the banks requested this tick are listed in touched_, and only those
+    // entries are granted and reset (each grant serves a distinct fetch,
+    // so the order they apply in does not matter).
+    int ntouched = 0;
     for_each_bit(collecting, [&](int c) {
       const CuEntry& cu = cus_[c];
       if (cu.active_from > now || cu.fetches_done()) return;
       for (int f = 0; f < cu.num_fetches; ++f) {
         if (cu.fetches[f].served) continue;
         BankGrant& g = grant_[cu.fetches[f].bank];
+        if (g.cu == kNoIndex) touched_[ntouched++] = cu.fetches[f].bank;
         if (g.cu == kNoIndex || cu.alloc_cycle < cus_[g.cu].alloc_cycle)
           g = BankGrant{c, f};
       }
     });
-    for (uint32_t bank = 0; bank < g_.register_banks; ++bank) {
-      const BankGrant& g = grant_[bank];
-      if (g.cu == kNoIndex) continue;
+    for (int t = 0; t < ntouched; ++t) {
+      BankGrant& g = grant_[touched_[t]];
       CuEntry& cu = cus_[g.cu];
       cu.fetches[g.fetch].served = true;
       --cu.unserved;
       ++stats_.operand_fetches;
+      g = BankGrant{};
     }
     // Mark CUs whose fetches completed and need no conversion.
     for_each_bit(collecting, [&](int c) {
@@ -485,13 +540,15 @@ class SmCore {
         WarpCtx& wc = warps_[w];
         BlockCtx& blk = blocks_[wc.block];
         // Predecoded view: the control classification comes from the
-        // shared decoded stream instead of being re-derived per issue
-        // attempt, and step() below executes the same instruction through
-        // the SoA warp kernels of the functional interpreter.
+        // shared decoded stream and the scoreboard registers from the
+        // launch's SimInst table, so a failed attempt costs a few loads;
+        // step() below executes the instruction through the SoA warp
+        // kernels of the functional interpreter.
         const exec::DecodedInst* dec =
             blk.exec->peek_decoded(wc.warp_in_block);
         if (!dec) return false;
-        if (!scoreboard_clear(wc, *dec->in)) {
+        const SimInst& si = insts_[dec->flat];
+        if (!scoreboard_clear(wc, si)) {
           sb_wait_ |= bit(w);
           return false;
         }
@@ -512,7 +569,7 @@ class SmCore {
           handle_control(w, step);
           if (!(active_ & ~at_barrier_ & bit(w))) greedy = kNoIndex;
         } else {
-          allocate_cu(now, w, free_cu);
+          allocate_cu(now, w, free_cu, si);
         }
         return true;
       };
@@ -534,21 +591,11 @@ class SmCore {
     }
   }
 
-  bool scoreboard_clear(const WarpCtx& wc, const ir::Instruction& in) const {
-    bool ok = true;
-    analysis_for_each_reg(in, [&](uint32_t r) {
-      if (wc.pending[r]) ok = false;
-    });
-    return ok;
-  }
-
-  /// All registers an instruction touches (sources, guard, destination).
-  template <typename Fn>
-  static void analysis_for_each_reg(const ir::Instruction& in, Fn&& fn) {
-    for (int i = 0; i < in.num_srcs; ++i)
-      if (in.srcs[i].is_reg()) fn(in.srcs[i].index);
-    if (in.guard != ir::kNoReg) fn(in.guard);
-    if (in.info().has_dst) fn(in.dst);
+  static bool scoreboard_clear(const WarpCtx& wc, const SimInst& si) {
+    uint8_t pending = 0;
+    for (int i = 0; i < si.num_sb_regs; ++i)
+      pending |= wc.pending[si.sb_regs[i]];
+    return pending == 0;
   }
 
   void handle_control(int w, const exec::StepResult& step) {
@@ -574,13 +621,14 @@ class SmCore {
   }
 
   /// Allocate free collector unit `cu_slot`, whose `step` the issue already
-  /// filled, to warp `w`.  Fetches past num_fetches are never read.
-  void allocate_cu(uint64_t now, int w, int cu_slot) {
+  /// filled with the instruction `si` describes, to warp `w`.  Fetches
+  /// past num_fetches are never read.
+  void allocate_cu(uint64_t now, int w, int cu_slot, const SimInst& si) {
     WarpCtx& wc = warps_[w];
     CuEntry& cu = cus_[cu_slot];
-    const ir::Instruction& in = *cu.step.inst;
     cu_valid_ |= bit(cu_slot);
     cu.warp = w;
+    cu.si = &si;
     cu.num_fetches = cu.unserved = 0;
     cu.conversions_left = 0;
     cu.alloc_cycle = now;
@@ -588,20 +636,10 @@ class SmCore {
         now + 1 + (cc_.enabled ? cc_.indirection_read_cycles : 0);
 
     // Distinct register source operands -> bank fetch requests.
-    uint32_t seen[3];
-    int nseen = 0;
     bool fault_penalty = false;  // >= 1 redirected/spilled source operand
     uint32_t nspill = 0;         // spill-store fetches of this instruction
-    for (int i = 0; i < in.num_srcs; ++i) {
-      if (!in.srcs[i].is_reg()) continue;
-      const uint32_t r = in.srcs[i].index;
-      if (spec_.kernel->regs[r].type == ir::Type::PRED) continue;
-      bool dup = false;
-      for (int s = 0; s < nseen; ++s)
-        if (seen[s] == r) dup = true;
-      if (dup) continue;
-      seen[nseen++] = r;
-
+    for (int i = 0; i < si.num_fetch_regs; ++i) {
+      const uint32_t r = si.fetch_regs[i];
       if (cc_.enabled && spec_.allocation) {
         const auto& e = spec_.allocation->table[r];
         GPURF_ASSERT(e.valid, "operand without allocation");
@@ -643,7 +681,7 @@ class SmCore {
     }
 
     // Scoreboard: destination pends until writeback.
-    if (in.info().has_dst) wc.pending[in.dst] = 1;
+    if (si.has_dst) wc.pending[si.dst] = 1;
   }
 
   // ----------------------------------------------------------------- memory
@@ -663,7 +701,16 @@ class SmCore {
 
     if (in.op == Opcode::LD_SHARED || in.op == Opcode::ST_SHARED) {
       // 32 word-interleaved banks; conflict degree = max distinct words
-      // mapped to one bank.
+      // mapped to one bank.  Addresses within a span of fewer than 32
+      // words fall in distinct banks, so the common unit-stride and
+      // broadcast accesses (and an empty mask) have degree 1 without the
+      // distinct-word count below.
+      uint32_t lo = UINT32_MAX, hi = 0;
+      for_each_bit(mask, [&](int l) {
+        lo = std::min(lo, cu.step.addr[l]);
+        hi = std::max(hi, cu.step.addr[l]);
+      });
+      if (mask == 0 || hi - lo < 32) return {1, g_.lat_shared, false};
       std::array<uint32_t, 32> words{};
       std::array<uint8_t, 32> per_bank{};
       uint32_t nwords = 0;
@@ -683,24 +730,26 @@ class SmCore {
     PendingL2 p;
     p.issued_at = now;
     p.line_begin = l2_lines_.size();
-    if (in.info().has_dst) {
+    if (cu.si->has_dst) {
       p.warp = cu.warp;
-      p.reg = in.dst;
+      p.reg = cu.si->dst;
     }
 
     // Coalesce into 128-byte (32-word) lines, in first-touch order;
-    // texture lines carry their texture id above the address bits.
+    // texture lines carry their texture id above the address bits.  A
+    // lane on the line appended last (adjacent lanes usually share one)
+    // skips the search.
     const bool is_tex = in.op == Opcode::TEX2D;
     const uint64_t space = is_tex ? uint64_t(in.tex) << 40 : 0;
     std::array<uint64_t, 32> lines{};
     uint32_t nlines = 0;
-    for (int l = 0; l < 32; ++l) {
-      if (!((mask >> l) & 1u)) continue;
+    for_each_bit(mask, [&](int l) {
       const uint64_t line = space | (cu.step.addr[l] / 32);
+      if (nlines > 0 && lines[nlines - 1] == line) return;
       if (std::find(lines.begin(), lines.begin() + nlines, line) ==
           lines.begin() + nlines)
         lines[nlines++] = line;
-    }
+    });
     const bool is_store = in.op == Opcode::ST_GLOBAL;
     for (uint32_t i = 0; i < nlines; ++i) {
       if (is_tex) {
@@ -723,6 +772,7 @@ class SmCore {
   const GpuConfig& g_;
   const CompressionConfig& cc_;
   const KernelLaunchSpec& spec_;
+  const SimInst* insts_;   ///< the launch's table, by DecodedInst::flat
   exec::ExecContext ctx_;  ///< SM-private copy (thread_insts, analysis)
   const SoftErrorModel* soft_model_;  ///< null = no soft-error tracking
 
@@ -763,13 +813,15 @@ class SmCore {
   std::array<int, GpuConfig::kMaxWarpSchedulers> greedy_warp_;
 
   /// Per-tick scratch, sized by the GpuConfig bounds validate_launch_spec
-  /// enforces: the bank-arbitration winner per bank and the ready
-  /// collector units as (age, index) pairs.
+  /// enforces: the bank-arbitration winner per bank (empty between ticks),
+  /// the banks requested this tick, and the ready collector units as
+  /// (age, index) pairs.
   struct BankGrant {
     int cu = kNoIndex;
     int fetch = 0;
   };
   std::array<BankGrant, GpuConfig::kMaxRegisterBanks> grant_;
+  std::array<uint8_t, GpuConfig::kMaxRegisterBanks> touched_;
   std::array<std::pair<uint64_t, int>, GpuConfig::kMaxCollectorUnits> ready_;
 };
 
@@ -851,10 +903,13 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
       soft_proc.emplace(spec.soft, gpu.num_sms, gpu.max_warps_per_sm);
   }
 
+  const std::vector<SimInst> insts =
+      predecode_timing(gpu, *spec.kernel, *ctx.analysis);
   std::vector<std::unique_ptr<SmCore>> sms;
   for (uint32_t s = 0; s < gpu.num_sms; ++s)
     sms.push_back(std::make_unique<SmCore>(gpu, comp, spec, ctx,
-                                           res.occupancy, soft_model.get()));
+                                           res.occupancy, soft_model.get(),
+                                           insts.data()));
 
   // Initial block placement: one fill before cycle 0, in SM-index order —
   // identical for the serial and every sharded schedule.
