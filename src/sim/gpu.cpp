@@ -53,6 +53,7 @@ struct SimInst {
   /// collector unit's bank fetches.
   std::array<uint32_t, 3> fetch_regs{};
   uint8_t num_fetch_regs = 0;
+  bool is_control = false;  ///< DecodedInst::is_control: needs no CU
   bool has_dst = false;
   UnitClass unit = UnitClass::SPU;
   uint32_t dst = 0;
@@ -80,6 +81,7 @@ std::vector<SimInst> predecode_timing(const GpuConfig& g,
           si.fetch_regs[si.num_fetch_regs++] = r;
       }
       if (in.guard != ir::kNoReg) si.sb_regs[si.num_sb_regs++] = in.guard;
+      si.is_control = dec.is_control;
       si.has_dst = in.info().has_dst;
       if (si.has_dst) si.sb_regs[si.num_sb_regs++] = in.dst;
       si.unit = in.info().unit;
@@ -149,6 +151,10 @@ struct WarpCtx {
   int block = kNoIndex;          ///< index into SmCore::blocks_
   uint32_t warp_in_block = 0;
   uint32_t gwarp = 0;            ///< bank-hash id; equals the warps_ index
+  /// Timing facts of the instruction the warp executes next (null once
+  /// it is done).  Only the warp's own step moves it, so the issue stage
+  /// re-reads it after each step, not on every attempt.
+  const SimInst* next = nullptr;
   std::vector<uint8_t> pending;  ///< scoreboard flags per register
 };
 
@@ -236,6 +242,7 @@ class SmCore {
     while (next_cycle_ < end) {
       tick(next_cycle_++);
       if (event_) return true;
+      skip_quiet(end);
     }
     return false;
   }
@@ -344,6 +351,7 @@ class SmCore {
       for (uint32_t w = 0; w < wpb; ++w) {
         WarpCtx& wc = warps_[size_t(slot) * wpb + w];
         wc.block = static_cast<int>(slot);
+        wc.next = next_inst(wc);
         std::fill(wc.pending.begin(), wc.pending.end(), 0);
       }
     }
@@ -376,6 +384,24 @@ class SmCore {
     arbitrate_banks(now);
     run_converters(now);
     issue(now);
+  }
+
+  /// Fast-forward over quiet cycles before `end`: no collector unit holds
+  /// an instruction and every resident warp is parked at a barrier or
+  /// waiting on the scoreboard, so until the next writeback retires each
+  /// tick would only record the same stalls.  Writebacks that land before
+  /// `end` are all in wb_ already (the window bound; see simulate()).
+  /// Soft-error runs tick every cycle for the exposure integral.
+  void skip_quiet(uint64_t end) {
+    if (soft_model_ || cu_valid_ != 0 || (active_ & ~at_barrier_ & ~sb_wait_))
+      return;
+    const uint64_t until =
+        wb_.empty() ? end : std::min(end, wb_.top().cycle);
+    if (until <= next_cycle_) return;
+    for (uint32_t s = 0; s < g_.warp_schedulers; ++s)
+      stall_counter(active_ & sched_mask_[s], false) += until - next_cycle_;
+    greedy_warp_.fill(kNoIndex);
+    next_cycle_ = until;
   }
 
   /// Live-bit exposure integral (PR 7): per cycle, every resident warp
@@ -538,21 +564,17 @@ class SmCore {
       uint64_t ready = mine & ~at_barrier_ & ~sb_wait_;
       const auto try_issue = [&](int w) {
         WarpCtx& wc = warps_[w];
-        BlockCtx& blk = blocks_[wc.block];
-        // Predecoded view: the control classification comes from the
-        // shared decoded stream and the scoreboard registers from the
+        // Predecoded view: the warp's next instruction comes from the
         // launch's SimInst table, so a failed attempt costs a few loads;
         // step() below executes the instruction through the SoA warp
         // kernels of the functional interpreter.
-        const exec::DecodedInst* dec =
-            blk.exec->peek_decoded(wc.warp_in_block);
-        if (!dec) return false;
-        const SimInst& si = insts_[dec->flat];
+        if (!wc.next) return false;
+        const SimInst& si = *wc.next;
         if (!scoreboard_clear(wc, si)) {
           sb_wait_ |= bit(w);
           return false;
         }
-        const bool is_control = dec->is_control;
+        const bool is_control = si.is_control;
         if (!is_control && free_cu == kNoIndex) {
           saw_no_cu = true;
           return false;
@@ -562,7 +584,8 @@ class SmCore {
         // collector unit a non-control instruction is allocated.
         exec::StepResult control;
         exec::StepResult& step = is_control ? control : cus_[free_cu].step;
-        blk.exec->step(wc.warp_in_block, step);
+        blocks_[wc.block].exec->step(wc.warp_in_block, step);
+        wc.next = next_inst(wc);
         ++stats_.warp_insts;
         greedy = w;
         if (is_control) {
@@ -583,12 +606,26 @@ class SmCore {
       if (!issued) {
         // Every candidate was tried, so the masks classify the stall.
         greedy = kNoIndex;
-        if (mine & ~at_barrier_ & sb_wait_) ++stats_.stall_scoreboard;
-        else if (saw_no_cu) ++stats_.stall_no_cu;
-        else if (mine & at_barrier_) ++stats_.stall_barrier;
-        else ++stats_.stall_empty;
+        ++stall_counter(mine, saw_no_cu);
       }
     }
+  }
+
+  /// The counter a scheduler owning warps `mine` bumps when it issues
+  /// nothing in a cycle.
+  uint64_t& stall_counter(uint64_t mine, bool saw_no_cu) {
+    if (mine & ~at_barrier_ & sb_wait_) return stats_.stall_scoreboard;
+    if (saw_no_cu) return stats_.stall_no_cu;
+    if (mine & at_barrier_) return stats_.stall_barrier;
+    return stats_.stall_empty;
+  }
+
+  /// The SimInst of the instruction warp `wc` executes next (null when
+  /// the warp is done).
+  const SimInst* next_inst(const WarpCtx& wc) const {
+    const exec::DecodedInst* dec =
+        blocks_[wc.block].exec->peek_decoded(wc.warp_in_block);
+    return dec ? &insts_[dec->flat] : nullptr;
   }
 
   static bool scoreboard_clear(const WarpCtx& wc, const SimInst& si) {
