@@ -110,9 +110,9 @@ class BlockExec {
   bool all_done() const;
 
   /// Predecoded view of the instruction the warp will execute next
-  /// (nullptr when done) — lets the timing simulator reuse the
-  /// decoded-stream flags instead of re-deriving opcode classes per issue
-  /// attempt.  Inline: the simulator calls it on every issue attempt.
+  /// (nullptr when done) — lets the timing simulator index its per-launch
+  /// timing table instead of re-deriving opcode classes.  Inline: the
+  /// simulator calls it after every warp step.
   const DecodedInst* peek_decoded(uint32_t w) const {
     const WarpState& ws = warps_[w];
     if (ws.done()) return nullptr;

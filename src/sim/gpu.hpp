@@ -32,6 +32,9 @@
 // the event's cycle — and replays the window's buffered L2 probes in
 // (cycle, SM) order.  Every L2-dependent writeback lands at least W cycles
 // after its issue, so it is scheduled before any tick that could see it.
+// For the same reason an SM inside a window whose warps all wait on the
+// scoreboard or a barrier, with no collector unit in use, jumps to its
+// next writeback and records the stalls of the cycles it skipped.
 // Serial runs and soft-flip runs take W = 1.  The shards run on the
 // current thread pool's resident workers through
 // ThreadPool::try_parallel_for; when the pool is busy (another simulation
