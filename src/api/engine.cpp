@@ -31,9 +31,8 @@ struct CampaignSweep {
   uint64_t base_seed = 1;    ///< head of the splitmix64 seed stream
   /// Records the point (value, derived seed); returns its child request.
   std::function<SimRequest(double x, uint64_t seed)> add_point;
-  /// Copies child i's outcome into point i.  True cancels every later
-  /// child (they are still collected).
-  std::function<bool(size_t i, JobState state,
+  /// Copies child i's outcome into point i.
+  std::function<void(size_t i, JobState state,
                      const StatusOr<sim::SimResult>& res)>
       collect;
   /// Moves the finished result into the job (success only).
@@ -113,10 +112,7 @@ bool copy_point(Point& pt, JobState state,
 
 /// Fault campaign: one child per (density, seeded fault map).  Faults
 /// live in the compressed register file, so a baseline-RF request is
-/// rejected before any child runs.  Submission is density-major, so a
-/// quality floor can act at each density boundary: once the mean quality
-/// delta of a completed density crosses it, the rest of the sweep is
-/// cancelled and the result marked truncated.
+/// rejected before any child runs.
 detail::CampaignSweep fault_sweep(const detail::JobImpl& job) {
   const FaultCampaignRequest& creq = job.req.campaign;
   auto result = std::make_shared<FaultCampaignResult>();
@@ -130,9 +126,7 @@ detail::CampaignSweep fault_sweep(const detail::JobImpl& job) {
   sw.axis = creq.densities;
   sw.per_value = creq.maps_per_density;
   sw.base_seed = creq.base_seed;
-  const double quality_floor = creq.quality_floor;
-  sw.add_point = [result, quality_floor, tmpl = creq.sim](
-                     double density, uint64_t seed) {
+  sw.add_point = [result, tmpl = creq.sim](double density, uint64_t seed) {
     FaultCampaignPoint pt;
     pt.density = density;
     pt.seed = seed;
@@ -140,31 +134,12 @@ detail::CampaignSweep fault_sweep(const detail::JobImpl& job) {
     SimRequest sr = tmpl;
     sr.fault.seed = seed;
     sr.fault.density = density;
-    // Early stopping needs every child scored, whatever the template said.
-    if (quality_floor > 0.0) sr.fault.score_quality = true;
     return sr;
   };
-  sw.collect = [result, quality_floor, delta_sum = 0.0, delta_n = 0](
-                   size_t i, JobState state,
-                   const StatusOr<sim::SimResult>& res) mutable {
+  sw.collect = [result](size_t i, JobState state,
+                        const StatusOr<sim::SimResult>& res) {
     FaultCampaignPoint& pt = result->points[i];
     if (copy_point(pt, state, res)) pt.fault = res->fault;
-    if (quality_floor <= 0.0 || result->truncated) return false;
-    if (res.ok() && pt.fault.quality_scored) {
-      delta_sum += pt.fault.quality_delta;
-      ++delta_n;
-    }
-    const bool density_done = i + 1 == result->points.size() ||
-                              result->points[i + 1].density != pt.density;
-    if (!density_done) return false;
-    const bool crossed = delta_n > 0 && delta_sum / delta_n > quality_floor;
-    if (crossed) {
-      result->truncated = true;
-      result->truncated_at_density = pt.density;
-    }
-    delta_sum = 0.0;
-    delta_n = 0;
-    return crossed;
   };
   sw.publish = [result](detail::JobImpl& j) {
     j.campaign_result = std::move(*result);
@@ -199,7 +174,6 @@ detail::CampaignSweep transient_sweep(const detail::JobImpl& job) {
                         const StatusOr<sim::SimResult>& res) {
     TransientCampaignPoint& pt = result->points[i];
     if (copy_point(pt, state, res)) pt.soft = res->soft;
-    return false;
   };
   sw.publish = [result](detail::JobImpl& j) {
     j.transient_result = std::move(*result);
@@ -216,22 +190,19 @@ Engine::Engine(EngineOptions opts)
       registry_(workloads::make_all_workloads()) {}
 
 Engine::~Engine() {
+  std::unordered_map<uint64_t, std::thread> campaigns;
   {
     common::MutexLock lock(qmu_);
     stopping_ = true;
     qcv_.notify_all();
     slot_cv_.notify_all();
+    campaigns.swap(campaign_threads_);
   }
   // Campaign orchestrators first: a stopping campaign cancels its child
   // jobs (further child submits throw), and the executors below then
   // drain and finalize those children before exiting.
-  for (auto& t : campaign_threads_) t.join();
+  for (auto& [id, t] : campaigns) t.join();
   for (auto& t : executors_) t.join();
-}
-
-Engine& Engine::shared() {
-  static Engine engine;
-  return engine;
 }
 
 std::vector<std::string> Engine::workload_names() const {
@@ -406,70 +377,12 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
                            : (*pr)->tune_high;
     alloc::AllocOptions aopt;
     aopt.faults = &fm;
-    alloc::AllocationResult fa = alloc::allocate_slices(
+    const alloc::AllocationResult fa = alloc::allocate_slices(
         w.kernel(), &(*pr)->ranges, &tune.pmap, aopt);
-
-    // Fault-aware re-tuning (PR 7): only a map with actual faults that
-    // either spills or inflates register pressure past the SM's capacity
-    // ever re-tunes — the zero-fault path keeps the cached tuning
-    // bit-identical.  Slice budgets are tried widest first and candidates
-    // compete lexicographically on (fits on the SM, spill count): a
-    // narrow budget that merely trades spills for an infeasible register
-    // pressure is never adopted, and when the unconstrained allocation
-    // itself no longer fits, any fitting budget wins.  Strict improvement
-    // is required, so ties keep the wider budget (better quality at equal
-    // storage success).
-    const auto fits = [&](const alloc::AllocationResult& a) {
-      return sim::compute_occupancy(opts_.gpu, a.total_phys_regs(),
-                                    spec.launch.warps_per_block(),
-                                    w.kernel().shared_bytes)
-                 .blocks_per_sm > 0;
-    };
-    const exec::PrecisionMap* used_pmap = &tune.pmap;
-    const uint32_t spills_before = fa.registers_spilled;
-    tuning::TuneResult retuned_tr;
-    bool retuned = false;
-    uint32_t retune_budget = 0;
-    bool cur_fits = fits(fa);
-    if (req.retune_on_faults && fm.num_faults() > 0 &&
-        (fa.registers_spilled > 0 || !cur_fits)) {
-      if (cancel) cancel->set_stage(common::JobStage::kTuning);
-      workloads::RunOptions ro = opts_.run;
-      ro.cancel = cancel;
-      auto probe = workloads::make_workload_probe(w, ro);
-      tuning::TunerOptions topt = opts_.tuner;
-      topt.level = req.mode == workloads::SimMode::kCompressedPerfect
-                       ? quality::QualityLevel::kPerfect
-                       : quality::QualityLevel::kHigh;
-      topt.cancel = cancel;
-      topt.defer_validation = false;
-      for (int hint : {4, 2, 1}) {
-        topt.max_slices_hint = hint;
-        tuning::TuneResult tr =
-            tuning::tune_precision(w.kernel(), *probe, topt);
-        alloc::AllocationResult fa2 = alloc::allocate_slices(
-            w.kernel(), &(*pr)->ranges, &tr.pmap, aopt);
-        const bool new_fits = fits(fa2);
-        const bool better =
-            new_fits != cur_fits
-                ? new_fits
-                : fa2.registers_spilled < fa.registers_spilled;
-        if (better) {
-          fa = std::move(fa2);
-          retuned_tr = std::move(tr);
-          used_pmap = &retuned_tr.pmap;
-          retuned = true;
-          retune_budget = static_cast<uint32_t>(hint);
-          cur_fits = new_fits;
-        }
-        if (cur_fits && fa.registers_spilled == 0) break;
-      }
-      if (cancel) cancel->set_stage(common::JobStage::kSimulating);
-    }
 
     // Spilled f32 registers live full-width in the spill store, so the
     // interpreter must not quantize them.
-    exec::PrecisionMap adj = *used_pmap;
+    exec::PrecisionMap adj = tune.pmap;
     if (adj.active())
       for (uint32_t r = 0;
            r < fa.table.size() && r < adj.per_reg.size(); ++r)
@@ -492,9 +405,6 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     rep.registers_spilled = fa.registers_spilled;
     rep.spill_regs = fa.spill_regs;
     rep.coverage_pct = fa.fault_coverage_pct();
-    rep.retuned = retuned;
-    rep.retune_slice_budget = retune_budget;
-    if (req.retune_on_faults) rep.spills_before_retune = spills_before;
 
     if (req.fault.score_quality) {
       // Three sample-scale functional runs score output degradation:
@@ -675,13 +585,18 @@ Job Engine::submit(JobRequest req) {
     // simulate jobs it submits (those children take normal slots, so a
     // large campaign self-throttles against max_inflight).  Running the
     // coordinator on an executor worker could deadlock a width-1 pool.
+    reap_campaigns();
     common::MutexLock lock(qmu_);
     metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
     GPURF_CHECK(!stopping_, "submit on a stopping Engine");
     impl->id = next_job_id_++;
     evict_terminal_jobs_locked();
     jobs_[impl->id] = impl;
-    campaign_threads_.emplace_back([this, impl] { run_campaign(*impl); });
+    campaign_threads_.emplace(impl->id, std::thread([this, impl] {
+      run_campaign(*impl);
+      common::MutexLock done(qmu_);
+      finished_campaigns_.push_back(impl->id);
+    }));
     return Job(impl);
   }
 
@@ -858,6 +773,22 @@ void Engine::executor_loop() {
   }
 }
 
+void Engine::reap_campaigns() {
+  // Join outside qmu_: a finishing coordinator takes qmu_ to park its id,
+  // after which it has nothing left to run but its epilogue.
+  std::vector<std::thread> done;
+  {
+    common::MutexLock lock(qmu_);
+    for (uint64_t id : finished_campaigns_) {
+      auto it = campaign_threads_.find(id);
+      done.push_back(std::move(it->second));
+      campaign_threads_.erase(it);
+    }
+    finished_campaigns_.clear();
+  }
+  for (auto& t : done) t.join();
+}
+
 void Engine::run_campaign(detail::JobImpl& job) {
   uint64_t seq = 0;
   {
@@ -923,17 +854,12 @@ Status Engine::run_sweep(detail::JobImpl& job, detail::CampaignSweep& sweep) {
     }
 
     // Collect in submission order, polling the parent token so a campaign
-    // cancel propagates to every child at the next slice.  A kind's
-    // per-point step may end the sweep early: the children after it are
-    // cancelled cooperatively and still collected.
+    // cancel propagates to every child at the next slice.
     for (size_t i = 0; i < children.size(); ++i) {
       while (!children[i].wait_for(std::chrono::milliseconds(50)))
         job.token.checkpoint();
-      const bool cancel_rest =
-          sweep.collect(i, children[i].state(), children[i].sim_result());
+      sweep.collect(i, children[i].state(), children[i].sim_result());
       job.token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
-      if (cancel_rest)
-        for (size_t j = i + 1; j < children.size(); ++j) children[j].cancel();
     }
   } catch (const common::CancelledError& e) {
     st = stop_status(e, sweep.what);
@@ -1053,14 +979,3 @@ std::string Engine::metrics_json() const {
 }
 
 }  // namespace gpurf
-
-namespace gpurf::workloads {
-
-// Legacy shim: the free function that used to own the process-global memo
-// now delegates to the process-default Engine.  Errors surface as
-// gpurf::Error (thrown by StatusOr::value), matching the old contract.
-const PipelineResult& run_pipeline(const Workload& w) {
-  return *Engine::shared().pipeline(w).value();
-}
-
-}  // namespace gpurf::workloads

@@ -43,9 +43,6 @@
 // Engine-level metrics (cache hit counters, queue depth, jobs by terminal
 // state, wall times) export via metrics_json();
 // api/server.hpp speaks the whole surface over a local socket (gpurfd).
-//
-// The legacy free functions (workloads::run_pipeline, ...) remain as thin
-// shims over Engine::shared(), so existing callers migrate incrementally.
 
 #include <condition_variable>
 #include <memory>
@@ -146,10 +143,6 @@ class Engine {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Process-default Engine backing the legacy free-function shims.
-  /// Constructed on first use with default (environment-resolved) options.
-  static Engine& shared();
 
   /// Options after construction-time resolution (threads/cache_dir/...
   /// filled in).
@@ -308,6 +301,8 @@ class Engine {
   void ensure_executor();
   void executor_loop();
   void run_job(detail::JobImpl& job);
+  /// Joins the coordinators that parked their id on finished_campaigns_.
+  void reap_campaigns() GPURF_EXCLUDES(qmu_);
   /// Campaign orchestrator thread body: starts the job, runs its kind's
   /// sweep through run_sweep and finalizes it.
   void run_campaign(detail::JobImpl& job);
@@ -343,13 +338,17 @@ class Engine {
   bool stopping_ GPURF_GUARDED_BY(qmu_) = false;
   bool executor_started_ GPURF_GUARDED_BY(qmu_) = false;
   std::vector<std::thread> executors_;
-  /// Fault-campaign orchestrator threads (one per campaign job).  They
-  /// bypass the executor queue — a campaign is a coordinator that mostly
-  /// waits on its child simulate jobs, so parking it on an executor
-  /// worker could deadlock a small pool.  Joined in the destructor
-  /// *before* the executors: a stopping campaign cancels its children,
-  /// which the draining executors then finalize.
-  std::vector<std::thread> campaign_threads_;
+  /// Campaign orchestrator threads by job id (one per campaign job).
+  /// They bypass the executor queue — a campaign is a coordinator that
+  /// mostly waits on its child simulate jobs, so parking it on an executor
+  /// worker could deadlock a small pool.  A finished coordinator parks its
+  /// id on finished_campaigns_ and the next campaign submit joins it, so a
+  /// long-lived Engine holds only live coordinators.  The rest are joined
+  /// in the destructor *before* the executors: a stopping campaign cancels
+  /// its children, which the draining executors then finalize.
+  std::unordered_map<uint64_t, std::thread> campaign_threads_
+      GPURF_GUARDED_BY(qmu_);
+  std::vector<uint64_t> finished_campaigns_ GPURF_GUARDED_BY(qmu_);
 };
 
 }  // namespace gpurf

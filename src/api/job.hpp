@@ -77,16 +77,6 @@ struct SimRequest {
   /// SoftErrorReport::quality_*; adds two functional runs at this
   /// request's scale).  Ignored unless the flip process is active.
   bool soft_score_quality = false;
-  /// Fault-aware re-tuning (PR 7): when the permanent-fault map is dense
-  /// enough that allocation spills registers — or inflates physical
-  /// register pressure until the kernel no longer fits on the SM —
-  /// re-run the precision tuner under a slice budget
-  /// (TunerOptions::max_slices_hint of 4, then 2, then 1) and adopt the
-  /// best configuration, comparing lexicographically on (fits on the SM,
-  /// spill count) — trading precision down to keep values in compressed
-  /// storage.  A fault-free map never re-tunes, so the tuned pipeline
-  /// output is guaranteed unchanged.
-  bool retune_on_faults = false;
 };
 
 /// A fault-injection campaign (ROADMAP 4a): sweep `maps_per_density`
@@ -107,12 +97,6 @@ struct FaultCampaignRequest {
   std::vector<double> densities = {0.005, 0.01, 0.02, 0.05};
   int maps_per_density = 3;       ///< seeded maps per density point
   uint64_t base_seed = 1;         ///< per-map seeds derived from this
-  /// Early stopping (PR 7): > 0 forces quality scoring on every child and,
-  /// once the mean quality delta (positive = worse) across a completed
-  /// density crosses above this floor, cooperatively cancels the remaining
-  /// higher-density children and marks the result truncated.  <= 0
-  /// (default) disables early stopping.
-  double quality_floor = 0.0;
 };
 
 enum class JobState {
@@ -152,10 +136,6 @@ struct FaultCampaignPoint {
 struct FaultCampaignResult {
   std::string workload;
   std::vector<FaultCampaignPoint> points;  ///< density-major, seed order
-  /// Early stopping fired: children past `truncated_at_density` were
-  /// cancelled after the mean quality delta crossed the request's floor.
-  bool truncated = false;
-  double truncated_at_density = 0.0;
 };
 
 /// A transient soft-error campaign (PR 7 tentpole): sweep `seeds_per_rate`
@@ -164,7 +144,7 @@ struct FaultCampaignResult {
 /// deterministic splitmix64 stream off `base_seed`; progress and
 /// cancellation behave exactly like a permanent-fault campaign.
 struct TransientCampaignRequest {
-  /// Template for every child: mode, scale, compression, re-tuning — the
+  /// Template for every child: mode, scale, compression, faults — the
   /// per-child soft-error rate and seed are overwritten by the sweep.
   SimRequest sim;
   std::vector<double> flip_rates = {10.0, 100.0, 1000.0};  ///< per Mcycle

@@ -101,8 +101,6 @@ Status parse_sim_request(const JsonValue& req, SimRequest& out) {
     out.soft.track_exposure = se->as_bool(false);
   if (const JsonValue* sq = req.get("soft_quality"))
     out.soft_score_quality = sq->as_bool(false);
-  if (const JsonValue* rt = req.get("retune_on_faults"))
-    out.retune_on_faults = rt->as_bool(false);
   return Status::Ok();
 }
 
@@ -538,8 +536,6 @@ std::string Server::handle_submit(const JsonValue& req) {
     if (!st.ok()) return envelope_error(metrics_json_now(), st);
     if (const JsonValue* b = req.get("base_seed"))
       cr.base_seed = static_cast<uint64_t>(b->as_int(1));
-    if (const JsonValue* q = req.get("quality_floor"))
-      cr.quality_floor = q->as_double(0.0);
     jr = JobRequest::fault_campaign(wlname->as_string(), std::move(cr));
   } else if (kind == "transient_campaign") {
     TransientCampaignRequest tr;

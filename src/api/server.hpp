@@ -21,7 +21,6 @@
 //    "fault_seed":N,"fault_density":F,"fault_quality":B,
 //    // fault_campaign only (mode defaults to "perfect" here):
 //    "densities":[F,...],"maps_per_density":N,"base_seed":N,
-//    "quality_floor":F,
 //    // transient_campaign only:
 //    "flip_rates":[F,...],"seeds_per_rate":N,"base_seed":N}
 //    // (campaigns: a count above INT_MAX, or more than

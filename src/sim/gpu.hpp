@@ -145,13 +145,6 @@ struct FaultInjectionReport {
   double quality_faulty = 0.0;
   double quality_delta = 0.0;       ///< positive = worse than fault-free
 
-  /// Fault-aware re-tuning (PR 7): when the map was dense enough that the
-  /// baseline tuning would spill and the caller opted in, the Engine
-  /// re-tunes with a slice budget and keeps the best configuration.
-  bool retuned = false;             ///< a re-tuned configuration was adopted
-  uint32_t retune_slice_budget = 0; ///< winning max_slices_hint (0 = none)
-  uint32_t spills_before_retune = 0;///< registers_spilled without re-tuning
-
   bool operator==(const FaultInjectionReport&) const = default;
 };
 

@@ -290,7 +290,6 @@ PipelineResult compute_pipeline(const Workload& w,
   if (!cached) {
     WorkloadProbe probe(w, opt.run);
     gpurf::tuning::TunerOptions topt = opt.tuner;
-    if (opt.tuner_batch > 0) topt.speculate_batch = opt.tuner_batch;
     // speculate_batch <= 0 resolves to the current pool width inside
     // tune_precision.
     // Both final validation probes run as one batch after the second tune

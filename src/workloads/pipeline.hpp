@@ -13,9 +13,8 @@
 // in a versioned on-disk cache under PipelineOptions::cache_dir.  The
 // public entry point is gpurf::Engine (src/api/engine.hpp), which owns one
 // PipelineCache per session — two Engines with different options never
-// share state.  The free run_pipeline() below survives as a thin shim over
-// the process-default Engine for legacy callers; compute_pipeline() is the
-// raw, memo-free computation used by benches and determinism tests.
+// share state.  compute_pipeline() is the raw, memo-free computation used
+// by benches and determinism tests.
 
 #include <atomic>
 #include <condition_variable>
@@ -86,9 +85,6 @@ struct PipelineOptions {
   /// Base tuner options (quality level is set per tuning run; a
   /// speculate_batch <= 0 resolves to the current thread pool's width).
   gpurf::tuning::TunerOptions tuner;
-  /// Speculative batch width override; <= 0 defers to `tuner`.  Kept for
-  /// callers predating the full TunerOptions plumbing.
-  int tuner_batch = 0;
   /// Interpreter strategy for every functional replay the tuner's quality
   /// probes perform (thread_insts is ignored).
   RunOptions run;
@@ -104,11 +100,11 @@ PipelineResult compute_pipeline(const Workload& w,
 
 /// Build the workload's quality probe — the same probe compute_pipeline
 /// tunes against (every sample variant replayed functionally, scores
-/// combined pessimistically).  Public so the Engine's fault-aware re-tuning
-/// path (PR 7) can re-run tune_precision under a slice budget without
-/// invalidating the cached unconstrained pipeline result.  Construction
-/// replays every sample variant once to build the references; `run.cancel`
-/// threads into those replays and all later evaluations.
+/// combined pessimistically).  Public so a caller can drive tune_precision
+/// on a workload directly, outside any PipelineCache (the cold-tuning
+/// benchmark does).  Construction replays every sample variant once to
+/// build the references; `run.cancel` threads into those replays and all
+/// later evaluations.
 std::unique_ptr<gpurf::tuning::QualityProbe> make_workload_probe(
     const Workload& w, const RunOptions& run);
 
@@ -157,12 +153,6 @@ class PipelineCache {
   std::map<std::string, Entry> cache_
       GPURF_GUARDED_BY(mu_);  ///< node-stable addresses
 };
-
-/// Legacy shim: run (or fetch the memoized) pipeline on the process-default
-/// Engine (api/engine.hpp).  New code should hold an Engine and call
-/// engine.pipeline() for session-scoped configuration and Status-based
-/// error handling.  Defined in src/api/engine.cpp.
-const PipelineResult& run_pipeline(const Workload& w);
 
 // ------------------------------------------------------- on-disk pmap cache
 //

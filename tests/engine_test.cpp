@@ -120,7 +120,7 @@ TEST(Engine, ConcurrentEnginesMatchLegacyGlobalPath) {
     gpurf::testing::PoolWidth width(1);
     wl::PipelineOptions opt;
     opt.use_disk_cache = false;
-    opt.tuner_batch = 1;
+    opt.tuner.speculate_batch = 1;
     ref = wl::compute_pipeline(*w, opt);
   }
 

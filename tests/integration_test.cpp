@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.hpp"
 #include "quality/metrics.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/pipeline.hpp"
@@ -14,12 +15,17 @@ namespace {
 
 using gpurf::quality::QualityLevel;
 
-// DWT2D and GICOV are the fastest kernels to tune; the pipeline memoizes,
-// and tuned precision maps are cached on disk across processes.
+// DWT2D and GICOV are the fastest kernels to tune; the pipeline memoizes
+// in the file's one Engine, and tuned precision maps are cached on disk
+// across processes.
+const PipelineResult& pipeline_for(const Workload& w) {
+  static Engine engine;
+  return *engine.pipeline(w).value();
+}
 
 TEST(Pipeline, Dwt2dEndToEnd) {
   const auto w = make_dwt2d();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
 
   // Structural expectations (also covered by bench_fig9).
   EXPECT_EQ(pr.pressure.original, 38u);
@@ -32,7 +38,7 @@ TEST(Pipeline, Dwt2dEndToEnd) {
 
 TEST(Pipeline, QualityLevelsAreOrdered) {
   const auto w = make_gicov();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
   // High quality can never need MORE registers than perfect quality.
   EXPECT_LE(pr.pressure.both_high, pr.pressure.both_perfect);
   EXPECT_LE(pr.pressure.both_perfect, pr.pressure.original);
@@ -43,7 +49,7 @@ TEST(Pipeline, CompressedRunMeetsQualityOnFreshInputs) {
   // The tuner trained on the sample variants; validate the accepted
   // high-quality assignment on the variant it saw.
   const auto w = make_dwt2d();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
 
   auto ref_inst = w->make_instance(Scale::kSample, 0);
   const auto ref = w->run(ref_inst, nullptr);
@@ -56,7 +62,7 @@ TEST(Pipeline, CompressedRunMeetsQualityOnFreshInputs) {
 
 TEST(Pipeline, PerfectAssignmentIsLosslessOnSamples) {
   const auto w = make_dwt2d();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
   auto a = w->make_instance(Scale::kSample, 0);
   auto b = w->make_instance(Scale::kSample, 0);
   EXPECT_EQ(w->run(a, nullptr), w->run(b, &pr.tune_perfect.pmap));
@@ -66,7 +72,7 @@ TEST(Pipeline, TimingRunWithGeneratedAllocation) {
   // Drive the cycle-level simulator with the pipeline's real allocation on
   // a small instance; the run must complete and show compression traffic.
   const auto w = make_gicov();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
   auto inst = w->make_instance(Scale::kSample, 0);
   auto spec = make_launch_spec(*w, inst, pr, SimMode::kCompressedHigh);
   const auto res = gpurf::sim::simulate(
@@ -88,7 +94,7 @@ TEST(Pipeline, BaselineAndCompressedComputeSameOutputsModuloQuantization) {
   // lossless float assignment), baseline and compressed timing runs must
   // produce bit-identical results.
   const auto w = make_hybridsort();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
 
   auto run = [&](SimMode mode) {
     auto inst = w->make_instance(Scale::kSample, 0);
@@ -104,7 +110,7 @@ TEST(Pipeline, BaselineAndCompressedComputeSameOutputsModuloQuantization) {
 
 TEST(Pipeline, LaunchSpecWiring) {
   const auto w = make_dwt2d();
-  const auto& pr = run_pipeline(*w);
+  const auto& pr = pipeline_for(*w);
   auto inst = w->make_instance(Scale::kSample, 0);
 
   auto orig = make_launch_spec(*w, inst, pr, SimMode::kOriginal);

@@ -132,8 +132,9 @@ TEST(Serve, OversizedRequestRejectedAndConnectionClosed) {
 }
 
 TEST(Serve, LegacyTokenAndStreamFieldsAreIgnored) {
-  // Older clients may still send "token" and "stream"; like any unknown
-  // field they are ignored and the result comes inline.
+  // Older clients may still send "token", "stream", "retune_on_faults"
+  // and "quality_floor"; like any unknown field they are ignored and the
+  // result comes inline.
   Engine engine(test_engine_opts());
   api::Server server(engine, api::ServerOptions{});
   auto pong = api::parse_json(
@@ -141,8 +142,8 @@ TEST(Serve, LegacyTokenAndStreamFieldsAreIgnored) {
   ASSERT_TRUE(pong.ok());
   EXPECT_TRUE(pong->get("ok")->as_bool());
 
-  auto sub = api::parse_json(
-      server.handle_request_line(submit_line("DWT2D", R"(,"token":"t")")));
+  auto sub = api::parse_json(server.handle_request_line(
+      submit_line("DWT2D", R"(,"token":"t","retune_on_faults":true)")));
   ASSERT_TRUE(sub.ok());
   ASSERT_NE(sub->get("job"), nullptr);
   const std::string id = std::to_string(sub->get("job")->as_int());
@@ -154,6 +155,29 @@ TEST(Serve, LegacyTokenAndStreamFieldsAreIgnored) {
   ASSERT_TRUE(done.ok()) << done.status().to_string();
   EXPECT_EQ(done->get("state")->as_string(), "done");
   EXPECT_NE(done->get("result"), nullptr);
+
+  // A floor would have forced quality scoring on; ignored, it does not.
+  auto camp = api::parse_json(server.handle_request_line(
+      R"({"op":"submit","kind":"fault_campaign","workload":"DWT2D",)"
+      R"("scale":"sample","densities":[0.01],"maps_per_density":1,)"
+      R"("retune_on_faults":true,"quality_floor":1e-12})"));
+  ASSERT_TRUE(camp.ok());
+  ASSERT_NE(camp->get("job"), nullptr);
+  auto cdone = api::parse_json(server.handle_request_line(
+      R"({"op":"wait","job":)" + std::to_string(camp->get("job")->as_int()) +
+      R"(,"timeout_ms":600000})"));
+  ASSERT_TRUE(cdone.ok()) << cdone.status().to_string();
+  EXPECT_EQ(cdone->get("state")->as_string(), "done");
+  const api::JsonValue* result = cdone->get("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_FALSE(result->get("truncated")->as_bool(true));
+  const api::JsonValue* points = result->get("points");
+  ASSERT_TRUE(points && points->items.size() == 1u);
+  const api::JsonValue* fault = points->items[0].get("fault");
+  ASSERT_NE(fault, nullptr);
+  EXPECT_TRUE(fault->get("active")->as_bool());
+  EXPECT_FALSE(fault->get("quality_scored")->as_bool(true));
+  EXPECT_FALSE(fault->get("retuned")->as_bool(true));
 }
 
 TEST(Serve, HistogramsOpExportsAllStages) {

@@ -1,6 +1,6 @@
 // Transient soft-error injection (PR 7): the Poisson flip process, the
 // static vulnerability model, the simulator's flip application, the
-// Engine's AVF report / transient campaigns, and fault-aware re-tuning.
+// Engine's AVF report and transient campaigns.
 //
 // The contracts that matter most:
 //   * flip-rate 0 draws no random numbers — such runs are bit-identical
@@ -8,10 +8,7 @@
 //   * the same (rate, seed) reproduces the same flip trace, the same
 //     SimStats and the same SoftErrorReport at shard counts {1, 2, 4};
 //   * flips on dead registers are provably masked — they never become
-//     architecturally visible and leave the output untouched;
-//   * a zero-fault map never triggers re-tuning, and an unconstrained
-//     tuner run is pinned bit-identical for every out-of-range
-//     max_slices_hint.
+//     architecturally visible and leave the output untouched.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +25,6 @@
 #include "sim/gpu.hpp"
 #include "sim/soft_error.hpp"
 #include "testing_util.hpp"
-#include "tuning/tuner.hpp"
 #include "workloads/pipeline.hpp"
 #include "workloads/workload.hpp"
 
@@ -436,142 +432,6 @@ TEST(TransientCampaign, CancelStopsEveryChild) {
   for (int i = 0; i < 500 && engine.inflight() > 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(engine.inflight(), 0u);
-}
-
-// ------------------------------------------------ fault-aware re-tuning
-
-TEST(Retune, UnconstrainedTunerPinnedForOutOfRangeHints) {
-  auto w = wl::make_dwt2d();
-  wl::RunOptions ro;
-  auto probe = wl::make_workload_probe(*w, ro);
-  tuning::TunerOptions opt;
-  opt.level = quality::QualityLevel::kHigh;
-  const auto base = tuning::tune_precision(w->kernel(), *probe, opt);
-  for (int hint : {-3, 0, 8, 100}) {
-    opt.max_slices_hint = hint;
-    const auto r = tuning::tune_precision(w->kernel(), *probe, opt);
-    EXPECT_EQ(base.pmap.per_reg, r.pmap.per_reg) << "hint " << hint;
-    EXPECT_EQ(base.slices_after, r.slices_after) << "hint " << hint;
-  }
-}
-
-TEST(Retune, SliceBudgetCapsEveryTunedRegister) {
-  auto w = wl::make_dwt2d();
-  wl::RunOptions ro;
-  auto probe = wl::make_workload_probe(*w, ro);
-  tuning::TunerOptions opt;
-  opt.level = quality::QualityLevel::kHigh;
-  // The tuner targets f32 registers the program actually uses; untargeted
-  // registers legitimately stay full-width.
-  const auto& k = w->kernel();
-  std::vector<uint32_t> uses(k.num_regs(), 0);
-  for (const auto& b : k.blocks)
-    for (const auto& in : b.insts) {
-      for (int i = 0; i < in.num_srcs; ++i)
-        if (in.srcs[i].is_reg()) ++uses[in.srcs[i].index];
-      if (in.info().has_dst) ++uses[in.dst];
-    }
-  for (int hint : {4, 2, 1}) {
-    opt.max_slices_hint = hint;
-    const auto r = tuning::tune_precision(w->kernel(), *probe, opt);
-    for (uint32_t reg = 0; reg < r.pmap.per_reg.size(); ++reg) {
-      if (k.regs[reg].type != ir::Type::F32 || uses[reg] == 0) continue;
-      // Capped at the widest Table-3 format within the budget — or the
-      // narrowest format overall (2 slices) when nothing fits.
-      EXPECT_LE(r.pmap.per_reg[reg].slices(), std::max(hint, 2))
-          << "reg " << reg << " hint " << hint;
-    }
-  }
-}
-
-TEST(Retune, ZeroFaultMapNeverRetunes) {
-  TempDir dir("gpurf_test_cache_retune0");
-  Engine engine(EngineOptions().with_threads(2).with_cache_dir(dir.path));
-  SimRequest req;
-  req.mode = wl::SimMode::kCompressedPerfect;
-  req.scale = wl::Scale::kSample;
-  auto plain = engine.simulate("DWT2D", req);
-  ASSERT_TRUE(plain.ok()) << plain.status().to_string();
-
-  req.retune_on_faults = true;
-  req.fault.seed = 5;
-  req.fault.density = 0.0;
-  auto r = engine.simulate("DWT2D", req);
-  ASSERT_TRUE(r.ok());
-  expect_same_sim_stats(plain->stats, r->stats, "retune flag, no faults");
-  EXPECT_FALSE(r->fault.retuned);
-  EXPECT_EQ(r->fault.retune_slice_budget, 0u);
-}
-
-TEST(Retune, DenseMapRetunesToFewerSpills) {
-  TempDir dir("gpurf_test_cache_retune1");
-  Engine engine(EngineOptions().with_threads(2).with_cache_dir(dir.path));
-  // Search a small deterministic grid for a map dense enough to spill
-  // under the unconstrained tuning while still simulating; the re-tuned
-  // run must then trade precision for placement and strictly reduce the
-  // spill count (SSAO at density 0.85, seed 1 is such a point today —
-  // the grid keeps the test honest if allocator behaviour shifts).
-  bool found = false;
-  for (const char* name : {"SSAO", "Elevated", "Hotspot"}) {
-    for (double density : {0.85, 0.9}) {
-      for (uint64_t seed : {1, 2}) {
-        SimRequest req;
-        req.mode = wl::SimMode::kCompressedPerfect;
-        req.scale = wl::Scale::kSample;
-        req.fault.seed = seed;
-        req.fault.density = density;
-        auto plain = engine.simulate(name, req);
-        if (!plain.ok() || plain->fault.registers_spilled == 0) continue;
-
-        SimRequest rt = req;
-        rt.retune_on_faults = true;
-        auto r = engine.simulate(name, rt);
-        // The plain run fit on the SM, so the adoption rule guarantees
-        // the re-tuned configuration does too.
-        ASSERT_TRUE(r.ok()) << name << " d=" << density << " seed=" << seed
-                            << ": " << r.status().to_string();
-        EXPECT_EQ(r->fault.spills_before_retune,
-                  plain->fault.registers_spilled);
-        EXPECT_LE(r->fault.registers_spilled,
-                  plain->fault.registers_spilled);
-        if (!r->fault.retuned) continue;  // no budget improved this map
-        found = true;
-        EXPECT_LT(r->fault.registers_spilled, plain->fault.registers_spilled)
-            << name << " d=" << density << " seed=" << seed;
-        EXPECT_GE(r->fault.retune_slice_budget, 1u);
-        EXPECT_LE(r->fault.retune_slice_budget, 4u);
-        return;
-      }
-    }
-  }
-  EXPECT_TRUE(found) << "no (workload, density, seed) in the grid gained "
-                        "from re-tuning — allocator behaviour changed?";
-}
-
-TEST(Retune, RescuesInfeasibleRegisterPressure) {
-  // SSAO at density 0.8, seed 1: the fault-aware allocation redirects so
-  // aggressively that physical register pressure stops fitting on the SM
-  // and the plain run fails.  Re-tuning narrows the formats until the
-  // launch is feasible again — the run must succeed where the plain one
-  // could not.  (Not every kernel is rescuable: DWT2D's pressure is
-  // integer-register dominated and the tuner only narrows f32 — there
-  // the re-tuned run fails exactly like the plain one.)
-  TempDir dir("gpurf_test_cache_retune2");
-  Engine engine(EngineOptions().with_threads(2).with_cache_dir(dir.path));
-  SimRequest req;
-  req.mode = wl::SimMode::kCompressedPerfect;
-  req.scale = wl::Scale::kSample;
-  req.fault.seed = 1;
-  req.fault.density = 0.8;
-  auto plain = engine.simulate("SSAO", req);
-  if (plain.ok()) GTEST_SKIP() << "map no longer overflows the SM";
-  EXPECT_EQ(plain.status().code(), StatusCode::kFailedPrecondition);
-
-  req.retune_on_faults = true;
-  auto r = engine.simulate("SSAO", req);
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_TRUE(r->fault.retuned);
-  EXPECT_GT(r->stats.cycles, 0u);
 }
 
 }  // namespace
