@@ -56,6 +56,7 @@ EngineOptions resolve(EngineOptions o) {
   o.run.thread_insts = nullptr;
   // Cancellation tokens are per-job, never session-wide configuration.
   o.run.cancel = nullptr;
+  o.run.abandon = nullptr;
   o.tuner.cancel = nullptr;
   return o;
 }
@@ -954,6 +955,10 @@ MetricsSnapshot Engine::metrics_snapshot() const {
                                                                           : 0;
   m.analysis_cache_hits = analysis_cache_.hits();
   m.analysis_cache_misses = analysis_cache_.misses();
+  m.tuner_candidates =
+      pipeline_stats_.tuner_candidates.load(std::memory_order_relaxed);
+  m.tuner_candidates_doomed =
+      pipeline_stats_.tuner_candidates_doomed.load(std::memory_order_relaxed);
   {
     common::MutexLock lock(qmu_);
     m.queue_depth = queue_.size();

@@ -116,6 +116,9 @@ struct MetricsSnapshot {
   uint64_t disk_cache_disabled = 0;  ///< 1 once the latch has tripped
   uint64_t analysis_cache_hits = 0;
   uint64_t analysis_cache_misses = 0;
+  // Tuner probes (workloads::PipelineStats).
+  uint64_t tuner_candidates = 0;
+  uint64_t tuner_candidates_doomed = 0;  ///< never replayed or abandoned
   // Queue / lifecycle.
   uint64_t queue_depth = 0;
   uint64_t jobs_running = 0;

@@ -842,10 +842,12 @@ void BlockExec::run_to_completion() {
 
 namespace {
 
-/// Run the contiguous linear-grid-index range [lo, hi) of blocks serially.
+/// Run the contiguous linear-grid-index range [lo, hi) of blocks serially,
+/// stopping early once ctx.abandon is raised.
 void run_block_range(ExecContext& ctx, uint64_t lo, uint64_t hi) {
   const uint32_t gx = ctx.launch.grid_x;
   for (uint64_t i = lo; i < hi; ++i) {
+    if (ctx.abandon && ctx.abandon->load(std::memory_order_relaxed)) return;
     BlockExec be(ctx, static_cast<uint32_t>(i % gx),
                  static_cast<uint32_t>(i / gx));
     be.run_to_completion();

@@ -4,6 +4,7 @@
 // precision / range-check hooks.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -241,6 +242,12 @@ struct ExecContext {
   /// (workloads::RunOptions::elide_bounds_checks).
   bool elide_bounds_checks = false;
   const uint8_t* mem_proven = nullptr;
+
+  /// Abandon flag of a speculative tuner probe whose score can no longer
+  /// be used (polled before every thread block; null = never abandon).
+  /// Once it reads true the run skips its remaining blocks, so global
+  /// memory and thread_insts are partial and the caller must discard them.
+  const std::atomic<bool>* abandon = nullptr;
 
   // Statistics accumulated during execution.  Under block-parallel runs
   // thread_insts is a per-shard reduction folded in grid order, never a

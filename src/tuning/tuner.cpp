@@ -21,6 +21,16 @@ std::vector<double> QualityProbe::evaluate_batch(
   return scores;
 }
 
+size_t QualityProbe::accept_prefix(
+    const std::vector<const exec::PrecisionMap*>& pmaps,
+    quality::QualityLevel level, std::vector<double>& scores) {
+  scores = evaluate_batch(pmaps);
+  size_t accepted = 0;
+  while (accepted < scores.size() && meets(scores[accepted], level))
+    ++accepted;
+  return accepted;
+}
+
 TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
                           const TunerOptions& opt_in) {
   TunerOptions opt = opt_in;
@@ -110,8 +120,9 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
       // is deterministic along the optimistic all-accept path: narrow the
       // cursor register one step at a time until it bottoms out, then move
       // to the next target.  We materialise the next K cumulative
-      // assignments of that path, evaluate them concurrently, and accept
-      // the longest prefix whose probes all pass.  On the first failure
+      // assignments of that path, score them as one chain
+      // (QualityProbe::accept_prefix), and accept the longest prefix whose
+      // probes all pass.  On the first failure
       // the serial algorithm would restore that register and move past it
       // — which is exactly how the cursor advances here — so the accepted
       // assignment matches the serial run bit for bit, for every K.
@@ -145,13 +156,9 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
         std::vector<const PrecisionMap*> pmaps(chain.size());
         for (size_t i = 0; i < chain.size(); ++i) pmaps[i] = &chain[i].pmap;
         checkpoint();
-        const std::vector<double> scores = probe.evaluate_batch(pmaps);
+        std::vector<double> scores;
+        const size_t accepted = probe.accept_prefix(pmaps, opt.level, scores);
         res.evaluations += static_cast<int>(chain.size());
-
-        size_t accepted = 0;
-        while (accepted < chain.size() &&
-               probe.meets(scores[accepted], opt.level))
-          ++accepted;
 
         // Adaptive width: rejections mean the optimistic path was wrong
         // early and deep speculation is waste; full acceptance means the

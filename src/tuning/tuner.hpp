@@ -26,39 +26,53 @@
 
 namespace gpurf::tuning {
 
-/// Evaluates one candidate precision assignment against the quality metric.
+/// Evaluates candidate precision assignments against the quality metric.
 /// Implemented by the workload harness: runs the kernel functionally on the
 /// sample inputs with `pmap` active and scores the output vs. the exact
 /// reference.
 ///
-/// Concurrency contract: when TunerOptions::speculate_batch > 1 the tuner
-/// calls evaluate() from multiple threads at once; implementations must be
-/// safe under concurrent evaluation (evaluate() must behave as a pure
-/// function of `pmap` apart from thread-safe bookkeeping).
+/// Concurrency contract: the tuner itself calls the probe from one thread
+/// at a time, but evaluate_batch() and accept_prefix() score their
+/// candidates concurrently on the current thread pool (the defaults call
+/// evaluate() from several pool threads at once).  evaluate() must
+/// therefore be safe under concurrent calls and behave as a pure function
+/// of `pmap` apart from thread-safe bookkeeping; meets() must be pure.
 class QualityProbe {
  public:
   virtual ~QualityProbe() = default;
   virtual double evaluate(const exec::PrecisionMap& pmap) = 0;
   virtual bool meets(double score, quality::QualityLevel level) const = 0;
 
-  /// Score a whole speculative batch at once.  The default fans the
-  /// candidates out over the shared thread pool and calls evaluate();
-  /// implementations that replay several sample variants per candidate
-  /// should override it to flatten (candidate x variant) into one grid, so
-  /// the pool load-balances at the finer granularity (K < threads no
-  /// longer strands cores).  Scores must equal per-candidate evaluate().
+  /// Score a whole batch at once.  The default fans the candidates out over
+  /// the current thread pool and calls evaluate(); scores must equal
+  /// per-candidate evaluate().
   virtual std::vector<double> evaluate_batch(
       const std::vector<const exec::PrecisionMap*>& pmaps);
+
+  /// Score a speculative chain and return how many leading candidates meet
+  /// `level` (the first index whose score fails, or pmaps.size()).
+  /// `scores` is resized to pmaps.size(); scores[0, accepted] — the
+  /// accepted prefix plus, when accepted < size, the first failing
+  /// candidate — must equal evaluate() of those candidates.  Entries past
+  /// the first failure are unspecified: the tuner discards them, so an
+  /// implementation may leave those candidates unscored or abandon them
+  /// mid-replay.  The default scores everything through evaluate_batch()
+  /// and counts the passing prefix.
+  virtual size_t accept_prefix(
+      const std::vector<const exec::PrecisionMap*>& pmaps,
+      quality::QualityLevel level, std::vector<double>& scores);
 };
 
 struct TunerOptions {
   quality::QualityLevel level = quality::QualityLevel::kPerfect;
   int max_passes = 4;   ///< fixpoint iteration bound over all registers
   /// Speculative batch width of the greedy descent.  1 = the original
-  /// serial loop.  K > 1 evaluates the next K candidates of the optimistic
-  /// all-accept path concurrently and accepts the longest valid prefix;
-  /// the accepted assignment is bit-for-bit identical to the serial
-  /// result (only `evaluations` grows, counting the wasted speculation).
+  /// serial loop.  K > 1 hands the next K candidates of the optimistic
+  /// all-accept path to QualityProbe::accept_prefix as one chain and
+  /// accepts the longest valid prefix; the accepted assignment is
+  /// bit-for-bit identical to the serial result (only `evaluations`
+  /// grows: it counts every submitted candidate, including those past the
+  /// first failure, which the probe may leave unscored).
   /// <= 0 = auto: the current thread pool's width at tune time (an Engine
   /// resolves this to its own thread count at construction).  This is
   /// the starting width: a rejection halves it (quality failed early —

@@ -1,5 +1,7 @@
 #include "workloads/pipeline.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -25,14 +27,16 @@ using gpurf::quality::QualityLevel;
 /// representative inputs).
 ///
 /// The pristine sample instances are built once at construction; each
-/// evaluation copies one (memory images only) instead of regenerating it.
-/// evaluate() is safe to call concurrently (required by the tuner's
-/// speculative batch mode) and itself fans the variants out across the
-/// current thread pool when called from the serial path.
+/// replay copies one (memory images only) instead of regenerating it.
+/// Every entry point scores through one (candidate x variant) claim loop
+/// on the current thread pool, so the pool stays saturated even when a
+/// batch holds fewer candidates than there are threads.
 class WorkloadProbe final : public gpurf::tuning::QualityProbe {
  public:
-  WorkloadProbe(const Workload& w, const RunOptions& run) : w_(w), run_(run) {
+  WorkloadProbe(const Workload& w, const RunOptions& run, PipelineStats* stats)
+      : w_(w), run_(run), stats_(stats) {
     run_.thread_insts = nullptr;
+    run_.abandon = nullptr;
     const uint32_t nv = w.num_sample_variants();
     protos_.reserve(nv);
     for (uint32_t v = 0; v < nv; ++v) {
@@ -44,40 +48,20 @@ class WorkloadProbe final : public gpurf::tuning::QualityProbe {
   }
 
   double evaluate(const gpurf::exec::PrecisionMap& pmap) override {
-    const size_t nv = protos_.size();
-    std::vector<double> scores(nv, 0.0);
-    gpurf::common::parallel_for(nv, [&](size_t v) {
-      scores[v] = score_variant(pmap, v);
-    });
-    // Ordered pessimistic fold — identical to the serial loop regardless
-    // of which thread scored which variant.
-    double combined = scores[0];
-    for (size_t v = 1; v < nv; ++v) combined = worse(combined, scores[v]);
-    return combined;
+    return evaluate_batch({&pmap})[0];
   }
 
-  /// Batch fan-out at (candidate x variant) granularity: the tuner's
-  /// speculative chain of K candidates becomes K * num_variants
-  /// independent functional replays, so the pool stays saturated even when
-  /// K is smaller than the thread count (e.g. right after the adaptive
-  /// width shrank).  The per-candidate pessimistic fold runs in variant
-  /// order, identical to evaluate().
   std::vector<double> evaluate_batch(
       const std::vector<const gpurf::exec::PrecisionMap*>& pmaps) override {
-    const size_t nv = protos_.size();
-    const size_t nc = pmaps.size();
-    std::vector<double> grid(nc * nv, 0.0);
-    gpurf::common::parallel_for(nc * nv, [&](size_t i) {
-      grid[i] = score_variant(*pmaps[i / nv], i % nv);
-    });
-    std::vector<double> scores(nc, 0.0);
-    for (size_t c = 0; c < nc; ++c) {
-      double combined = grid[c * nv];
-      for (size_t v = 1; v < nv; ++v)
-        combined = worse(combined, grid[c * nv + v]);
-      scores[c] = combined;
-    }
+    std::vector<double> scores;
+    score_chain(pmaps, nullptr, scores);
     return scores;
+  }
+
+  size_t accept_prefix(const std::vector<const gpurf::exec::PrecisionMap*>& pmaps,
+                       QualityLevel level,
+                       std::vector<double>& scores) override {
+    return score_chain(pmaps, &level, scores);
   }
 
   bool meets(double score, QualityLevel level) const override {
@@ -85,10 +69,72 @@ class WorkloadProbe final : public gpurf::tuning::QualityProbe {
   }
 
  private:
-  /// One functional replay: candidate pmap on sample variant v.
-  double score_variant(const gpurf::exec::PrecisionMap& pmap, size_t v) {
-    Workload::Instance inst = protos_[v];  // fresh copy per evaluation
-    const auto out = w_.run(inst, &pmap, nullptr, run_);
+  /// The one grid loop.  Shards claim (candidate x variant) items in index
+  /// order from a shared cursor; the last variant of a candidate to finish
+  /// folds its scores in variant order, so every score equals the serial
+  /// fold whichever thread replayed which variant.  With a `level`, a
+  /// candidate that fails lowers `first_fail` and raises the abandon flag
+  /// of every later candidate: their items are no longer claimed, and
+  /// replays already in flight stop at the next thread block.  Candidates
+  /// up to the first failure are never skipped (the cursor is monotone and
+  /// only later candidates are abandoned), so the returned prefix and
+  /// scores[0, first_fail] equal evaluate_batch() + meets().  Returns the
+  /// number of leading candidates that meet `level` (all when null).
+  size_t score_chain(const std::vector<const gpurf::exec::PrecisionMap*>& pmaps,
+                     const QualityLevel* level, std::vector<double>& scores) {
+    const size_t nv = protos_.size();
+    const size_t nc = pmaps.size();
+    const size_t items = nc * nv;
+    std::vector<double> grid(items, 0.0);
+    scores.assign(nc, 0.0);
+    std::vector<std::atomic<size_t>> pending(nc);
+    for (auto& p : pending) p.store(nv, std::memory_order_relaxed);
+    std::vector<std::atomic<bool>> abandon(nc);
+    std::atomic<size_t> cursor{0}, first_fail{nc}, scored{0};
+
+    const size_t width = std::min(
+        items, static_cast<size_t>(gpurf::common::ThreadPool::current().size()));
+    gpurf::common::parallel_for(width, [&](size_t) {
+      for (;;) {
+        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= items) return;
+        const size_t c = i / nv;
+        if (c > first_fail.load(std::memory_order_relaxed)) return;
+        grid[i] = score_variant(*pmaps[c], i % nv, &abandon[c]);
+        if (pending[c].fetch_sub(1, std::memory_order_acq_rel) != 1) continue;
+        // Last variant of candidate c: every grid row of c is visible.
+        if (abandon[c].load(std::memory_order_relaxed)) continue;
+        double combined = grid[c * nv];
+        for (size_t v = 1; v < nv; ++v)
+          combined = worse(combined, grid[c * nv + v]);
+        scores[c] = combined;
+        scored.fetch_add(1, std::memory_order_relaxed);
+        if (!level || meets(combined, *level)) continue;
+        size_t ff = first_fail.load(std::memory_order_relaxed);
+        while (c < ff && !first_fail.compare_exchange_weak(
+                             ff, c, std::memory_order_relaxed)) {
+        }
+        for (size_t d = c + 1; d < nc; ++d)
+          abandon[d].store(true, std::memory_order_relaxed);
+      }
+    });
+    if (stats_) {
+      stats_->tuner_candidates.fetch_add(nc, std::memory_order_relaxed);
+      stats_->tuner_candidates_doomed.fetch_add(nc - scored.load(),
+                                                std::memory_order_relaxed);
+    }
+    return first_fail.load();
+  }
+
+  /// One functional replay: candidate pmap on sample variant v.  An
+  /// abandoned replay returns 0 unscored; its candidate is never folded.
+  double score_variant(const gpurf::exec::PrecisionMap& pmap, size_t v,
+                       const std::atomic<bool>* abandon) {
+    Workload::Instance inst = protos_[v];  // fresh copy per replay
+    RunOptions run = run_;
+    run.abandon = abandon;
+    const auto out = w_.run(inst, &pmap, nullptr, run);
+    if (abandon->load(std::memory_order_relaxed)) return 0.0;
     return metrics_[v]->score(refs_[v], out);
   }
 
@@ -100,6 +146,7 @@ class WorkloadProbe final : public gpurf::tuning::QualityProbe {
 
   const Workload& w_;
   RunOptions run_;
+  PipelineStats* stats_;
   std::vector<Workload::Instance> protos_;
   std::vector<std::unique_ptr<gpurf::quality::QualityMetric>> metrics_;
   std::vector<std::vector<float>> refs_;
@@ -120,8 +167,8 @@ bool is_table3_width(int bits) {
 }  // namespace
 
 std::unique_ptr<gpurf::tuning::QualityProbe> make_workload_probe(
-    const Workload& w, const RunOptions& run) {
-  return std::make_unique<WorkloadProbe>(w, run);
+    const Workload& w, const RunOptions& run, PipelineStats* stats) {
+  return std::make_unique<WorkloadProbe>(w, run, stats);
 }
 
 const std::string& default_cache_dir() {
@@ -288,7 +335,7 @@ PipelineResult compute_pipeline(const Workload& w,
     }
   }
   if (!cached) {
-    WorkloadProbe probe(w, opt.run);
+    WorkloadProbe probe(w, opt.run, opt.stats);
     gpurf::tuning::TunerOptions topt = opt.tuner;
     // speculate_batch <= 0 resolves to the current pool width inside
     // tune_precision.

@@ -72,6 +72,13 @@ struct PipelineStats {
   /// stops touching the disk cache and keeps serving from memory — a
   /// degraded environment must never fail submit paths (PR 6 satellite).
   std::atomic<bool> disk_cache_disabled{false};
+  /// Candidates submitted to the session's workload probes (tuner chains,
+  /// the full-precision probe and final validations alike).
+  std::atomic<uint64_t> tuner_candidates{0};
+  /// Submitted candidates the probe never finished scoring: speculative
+  /// chain members past the first failure that were never replayed or were
+  /// abandoned mid-replay.
+  std::atomic<uint64_t> tuner_candidates_doomed{0};
 };
 
 /// Pipeline computation knobs.  An Engine fills every field from its
@@ -104,9 +111,10 @@ PipelineResult compute_pipeline(const Workload& w,
 /// on a workload directly, outside any PipelineCache (the cold-tuning
 /// benchmark does).  Construction replays every sample variant once to
 /// build the references; `run.cancel` threads into those replays and all
-/// later evaluations.
+/// later evaluations.  `stats` (nullable, not owned) receives the tuner
+/// candidate counters.
 std::unique_ptr<gpurf::tuning::QualityProbe> make_workload_probe(
-    const Workload& w, const RunOptions& run);
+    const Workload& w, const RunOptions& run, PipelineStats* stats = nullptr);
 
 /// Session-scoped memo of pipeline results, keyed by workload name.
 /// Independent workloads may be requested from different threads

@@ -109,6 +109,7 @@ std::vector<float> Workload::run(
   ctx.range_check = range_check;
   ctx.use_soa = opt.use_soa;
   ctx.elide_dead_writes = opt.elide_dead_writes;
+  ctx.abandon = opt.abandon;
 
   // Static memory proofs (ISSUE 10).  Block-parallel execution now
   // requires the no-cross-block-reads contract proven (or waived); the

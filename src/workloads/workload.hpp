@@ -10,6 +10,7 @@
 // register pressure, tuned precision, occupancy, IPC — is *computed* from
 // these programs by the analyses and the simulator, never hard-coded.
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,9 +68,14 @@ struct RunOptions {
   bool elide_bounds_checks = true;
   uint64_t* thread_insts = nullptr;  ///< out: executed thread instructions
   /// Cooperative cancellation/deadline checkpoint, polled at the start of
-  /// every functional replay (a replay itself always runs to completion,
-  /// so replays never leave partial state).  Null disables it.
+  /// every functional replay (a cancelled job never stops a replay midway,
+  /// so cancellation leaves no partial state).  Null disables it.
   gpurf::common::CancelToken* cancel = nullptr;
+  /// Abandon flag (ExecContext::abandon): once it reads true the replay
+  /// stops at the next thread block and its output is partial.  The tuner
+  /// probe raises it for candidates past a chain's first failure; null
+  /// (the default) runs every replay to completion.
+  const std::atomic<bool>* abandon = nullptr;
 };
 
 class Workload {

@@ -127,6 +127,23 @@ TEST(ParallelDeterminism, AdaptiveBatchWidthDoesNotChangeResults) {
   expect_same_pipeline(serial, k8);
 }
 
+// The other two metric kinds, across pool widths and batch widths: SSIM
+// (SSAO) folds with min instead of max, and the binary metric (Hybridsort)
+// fails on any changed output, so its chains hit early failures — the
+// claim loop's skip and abandon paths.  Both sides are parallel runs (the
+// serial oracle is pinned above on DWT2D and GICOV) to keep tier-1 short.
+TEST(ParallelDeterminism, SsimPipelineMatchesAcrossWidthsAndBatches) {
+  const auto w = make_ssao();
+  expect_same_pipeline(pipeline_with_width(*w, 4, 4),
+                       pipeline_with_width(*w, 3, 16));
+}
+
+TEST(ParallelDeterminism, BinaryPipelineMatchesAcrossWidthsAndBatches) {
+  const auto w = make_hybridsort();
+  expect_same_pipeline(pipeline_with_width(*w, 4, 3),
+                       pipeline_with_width(*w, 3, 8));
+}
+
 // ------------------------------------------- block-parallel run_functional
 
 /// One functional replay of a workload instance under the given knobs.

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 
+#include "common/thread_pool.hpp"
 #include "ir/parser.hpp"
 #include "tuning/tuner.hpp"
 
@@ -124,6 +127,60 @@ TEST(Tuner, ResultFormatsAreTable3) {
   EXPECT_EQ(res.pmap.per_reg[0].total_bits, 16);
   EXPECT_EQ(res.pmap.per_reg[1].total_bits, 12);
   EXPECT_EQ(res.pmap.per_reg[2].total_bits, 24);
+}
+
+// A probe that scores a chain serially and stops at its first failure,
+// leaving every later candidate unscored (NaN), as accept_prefix allows.
+// The tuner must accept exactly what the serial descent accepts, for
+// every speculative width.
+TEST(Tuner, EarlyExitAcceptPrefixMatchesSerialDescent) {
+  class EarlyExitProbe final : public QualityProbe {
+   public:
+    double evaluate(const gpurf::exec::PrecisionMap& pmap) override {
+      ++evals;
+      const int floors[] = {16, 24, 12};
+      for (int r = 0; r < 3; ++r)
+        if (pmap.per_reg[r].total_bits < floors[r]) return 0.0;
+      return 1.0;
+    }
+    bool meets(double s, QualityLevel) const override { return s >= 1.0; }
+    size_t accept_prefix(const std::vector<const gpurf::exec::PrecisionMap*>& c,
+                         QualityLevel level,
+                         std::vector<double>& scores) override {
+      ++chains;
+      scores.assign(c.size(), std::numeric_limits<double>::quiet_NaN());
+      for (size_t i = 0; i < c.size(); ++i)
+        if (!meets(scores[i] = evaluate(*c[i]), level)) return i;
+      return c.size();
+    }
+    int evals = 0;
+    int chains = 0;
+  };
+
+  auto k = float_kernel();
+  gpurf::common::ThreadPool pool(4);
+  gpurf::common::ScopedPool bind(&pool);
+  TunerOptions opt;
+  opt.speculate_batch = 1;
+  EarlyExitProbe serial_probe;
+  const auto serial = tune_precision(k, serial_probe, opt);
+  EXPECT_EQ(serial_probe.chains, 0);  // K = 1 is the plain serial loop
+  for (int batch : {1, 2, 4, 16}) {
+    opt.speculate_batch = batch;
+    EarlyExitProbe probe;
+    const auto res = tune_precision(k, probe, opt);
+    for (int r = 0; r < 4; ++r)
+      EXPECT_EQ(res.pmap.per_reg[r].total_bits,
+                serial.pmap.per_reg[r].total_bits)
+          << "K=" << batch << " reg " << r;
+    EXPECT_EQ(res.final_score, serial.final_score) << "K=" << batch;
+    EXPECT_FALSE(std::isnan(res.final_score)) << "K=" << batch;
+    if (batch > 1) {
+      EXPECT_GT(probe.chains, 0) << "K=" << batch;
+    }
+    // Every submitted candidate counts, scored or not.
+    EXPECT_GE(res.evaluations, probe.evals) << "K=" << batch;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "alloc/slice_alloc.hpp"
@@ -13,10 +15,13 @@
 #include "ir/verifier.hpp"
 #include "quality/metrics.hpp"
 #include "testing_util.hpp"
+#include "workloads/pipeline.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpurf::workloads {
 namespace {
+
+using gpurf::quality::QualityLevel;
 
 class WorkloadSuite : public ::testing::TestWithParam<int> {
  protected:
@@ -196,6 +201,117 @@ TEST(Workloads, ProofGateFollowsTheBoundPool) {
     EXPECT_FALSE(
         fresh.mem_proofs(inst, /*footprints=*/false)->mem.footprints_computed);
   }
+}
+
+// ------------------------------------------------- speculative probe chains
+
+/// Every f32 register of `w` at `bits` wide, the rest at 32.
+gpurf::exec::PrecisionMap uniform_pmap(const Workload& w, int bits) {
+  const auto& k = w.kernel();
+  gpurf::exec::PrecisionMap pm;
+  pm.per_reg.assign(k.num_regs(), gpurf::fp::format_for_bits(32));
+  for (uint32_t r = 0; r < k.num_regs(); ++r)
+    if (k.regs[r].type == gpurf::ir::Type::F32)
+      pm.per_reg[r] = gpurf::fp::format_for_bits(bits);
+  return pm;
+}
+
+/// Reference prefix: evaluate_batch() scores, first index that fails.
+size_t reference_prefix(gpurf::tuning::QualityProbe& probe,
+                        const std::vector<const gpurf::exec::PrecisionMap*>& c,
+                        std::vector<double>& scores) {
+  scores = probe.evaluate_batch(c);
+  size_t n = 0;
+  while (n < scores.size() && probe.meets(scores[n], QualityLevel::kPerfect))
+    ++n;
+  return n;
+}
+
+// accept_prefix may skip or abandon candidates past a chain's first
+// failure, but the accepted count and every score up to and including
+// that failure must equal evaluate_batch() + meets(), at every pool width.
+TEST(WorkloadProbe, AcceptPrefixMatchesEvaluateBatch) {
+  for (auto make : {make_dwt2d, make_gicov}) {
+    const auto w = make();
+    const auto full = uniform_pmap(*w, 32), half = uniform_pmap(*w, 16),
+               tiny = uniform_pmap(*w, 8);
+    const std::vector<std::pair<std::vector<const gpurf::exec::PrecisionMap*>,
+                                size_t>>
+        chains = {
+            {{&tiny, &full, &half, &full, &tiny, &full}, 0},  // fails first
+            {{&full, &full, &full, &tiny, &half, &full, &tiny}, 3},
+            {{&full, &full, &full, &full}, 4},  // never fails
+        };
+    for (int width : {1, 2, 4}) {
+      gpurf::testing::PoolWidth pool(width);
+      const auto probe = make_workload_probe(*w, RunOptions{});
+      for (const auto& [chain, first_fail] : chains) {
+        std::vector<double> ref, got;
+        ASSERT_EQ(reference_prefix(*probe, chain, ref), first_fail)
+            << w->spec().name << ": chain shape changed";
+        const size_t accepted =
+            probe->accept_prefix(chain, QualityLevel::kPerfect, got);
+        EXPECT_EQ(accepted, first_fail) << w->spec().name << " T=" << width;
+        ASSERT_EQ(got.size(), chain.size());
+        for (size_t i = 0; i <= std::min(accepted, chain.size() - 1); ++i)
+          EXPECT_EQ(got[i], ref[i])
+              << w->spec().name << " T=" << width << " candidate " << i;
+      }
+    }
+  }
+}
+
+// On a serial pool the claim loop runs the chain in order and stops at
+// the first failure: nothing past candidate 0 is replayed.
+TEST(WorkloadProbe, SerialChainStopsAtTheFirstFailure) {
+  const auto w = make_dwt2d();
+  const auto full = uniform_pmap(*w, 32), tiny = uniform_pmap(*w, 8);
+  gpurf::testing::PoolWidth pool(1);
+  PipelineStats stats;
+  const auto probe = make_workload_probe(*w, RunOptions{}, &stats);
+  std::vector<double> scores;
+  EXPECT_EQ(probe->accept_prefix({&tiny, &full, &full, &full},
+                                 QualityLevel::kPerfect, scores),
+            0u);
+  EXPECT_EQ(stats.tuner_candidates.load(), 4u);
+  EXPECT_EQ(stats.tuner_candidates_doomed.load(), 3u);
+
+  // Batches without a level score every candidate.
+  (void)probe->evaluate_batch({&tiny, &full});
+  (void)probe->evaluate(full);
+  EXPECT_EQ(stats.tuner_candidates.load(), 7u);
+  EXPECT_EQ(stats.tuner_candidates_doomed.load(), 3u);
+}
+
+// A fresh tune counts every submitted candidate: the session counter
+// equals the two tunes' evaluations (chains, full-precision probes and
+// the deferred validations).
+TEST(WorkloadProbe, PipelineCountsEverySubmittedCandidate) {
+  const auto w = make_dwt2d();
+  gpurf::testing::PoolWidth pool(2);
+  PipelineStats stats;
+  PipelineOptions opt;
+  opt.use_disk_cache = false;
+  opt.stats = &stats;
+  const auto pr = compute_pipeline(*w, opt);
+  EXPECT_EQ(stats.tuner_candidates.load(),
+            static_cast<uint64_t>(pr.tune_perfect.evaluations +
+                                  pr.tune_high.evaluations));
+  EXPECT_LE(stats.tuner_candidates_doomed.load(),
+            stats.tuner_candidates.load());
+}
+
+// A raised abandon flag stops a replay before its next thread block.
+TEST(Workloads, AbandonedReplaySkipsRemainingBlocks) {
+  const auto w = make_dwt2d();
+  const std::atomic<bool> raised{true};
+  uint64_t insts = 1;
+  RunOptions ro;
+  ro.abandon = &raised;
+  ro.thread_insts = &insts;
+  auto inst = w->make_instance(Scale::kSample, 0);
+  (void)w->run(inst, nullptr, nullptr, ro);
+  EXPECT_EQ(insts, 0u);
 }
 
 }  // namespace
