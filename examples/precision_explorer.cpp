@@ -57,7 +57,8 @@ namespace {
 /// score the polynomial outputs against the exact run (% deviation).
 class HornerProbe final : public gpurf::tuning::QualityProbe {
  public:
-  explicit HornerProbe(const ir::Kernel& k) : k_(k) {
+  explicit HornerProbe(const ir::Kernel& k)
+      : k_(k), ka_(std::make_shared<const exec::KernelAnalysis>(k)) {
     metric_ = gpurf::quality::make_deviation_metric();
     ref_ = run(nullptr);
   }
@@ -71,6 +72,7 @@ class HornerProbe final : public gpurf::tuning::QualityProbe {
     const uint32_t ob = gmem.alloc(xs.size());
     exec::ExecContext ctx;
     ctx.kernel = &k_;
+    ctx.analysis = ka_;
     ctx.launch = ir::LaunchConfig{8, 1, 64, 1};
     ctx.gmem = &gmem;
     ctx.params = {xb, ob};
@@ -88,6 +90,7 @@ class HornerProbe final : public gpurf::tuning::QualityProbe {
 
  private:
   const ir::Kernel& k_;
+  std::shared_ptr<const exec::KernelAnalysis> ka_;  ///< shared by every run
   std::unique_ptr<gpurf::quality::QualityMetric> metric_;
   std::vector<float> ref_;
 };

@@ -64,14 +64,21 @@ AllocationResult allocate_slices(const ir::Kernel& k,
                                  const analysis::RangeAnalysisResult* ranges,
                                  const exec::PrecisionMap* pmap,
                                  const AllocOptions& opt) {
+  const exec::KernelAnalysis ka(k);
+  return allocate_slices(k, ka.dataflow(), ranges, pmap, opt);
+}
+
+AllocationResult allocate_slices(const ir::Kernel& k,
+                                 const analysis::Dataflow& df,
+                                 const analysis::RangeAnalysisResult* ranges,
+                                 const exec::PrecisionMap* pmap,
+                                 const AllocOptions& opt) {
   GPURF_CHECK(!opt.pack_ints || ranges != nullptr,
               "pack_ints requires range-analysis results");
   GPURF_CHECK(!opt.pack_floats || (pmap != nullptr && pmap->active()),
               "pack_floats requires a precision map");
   if (opt.pack_floats) pmap->validate(k.num_regs());
 
-  const auto ka = exec::analyze_kernel(k);
-  const analysis::Dataflow& df = ka->dataflow();
   const auto adj = analysis::build_interference(k, df, opt.live_intervals);
 
   AllocationResult res;

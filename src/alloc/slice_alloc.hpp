@@ -2,8 +2,8 @@
 // Register allocation (paper §4.3).
 //
 // Two allocators share one interference builder
-// (analysis::build_interference) over the kernel's cached dataflow
-// (exec::analyze_kernel):
+// (analysis::build_interference) over the kernel's dataflow
+// (exec::KernelAnalysis::dataflow):
 //
 //  * Baseline: classic graph colouring at 32-bit granularity — its colour
 //    count is the per-thread register pressure of an uncompressed register
@@ -139,8 +139,18 @@ uint32_t baseline_pressure(const gpurf::ir::Kernel& k);
 uint32_t live_interval_pressure(const gpurf::ir::Kernel& k);
 
 /// Slice-packing allocation.  `ranges` may be null when !opt.pack_ints;
-/// `pmap` may be null when !opt.pack_floats.
+/// `pmap` may be null when !opt.pack_floats.  Builds the kernel's analysis
+/// for this one call.
 AllocationResult allocate_slices(const gpurf::ir::Kernel& k,
+                                 const analysis::RangeAnalysisResult* ranges,
+                                 const exec::PrecisionMap* pmap,
+                                 const AllocOptions& opt);
+
+/// The same over the kernel's dataflow (as for analyze_ranges): callers
+/// holding the kernel's exec::KernelAnalysis pass its facts, so repeated
+/// allocations never rebuild them.
+AllocationResult allocate_slices(const gpurf::ir::Kernel& k,
+                                 const analysis::Dataflow& df,
                                  const analysis::RangeAnalysisResult* ranges,
                                  const exec::PrecisionMap* pmap,
                                  const AllocOptions& opt);

@@ -1,5 +1,5 @@
 #pragma once
-// Liveness, computed once per kernel and cached in exec::KernelAnalysis
+// Liveness, computed once per kernel and held in exec::KernelAnalysis
 // (PR 9 tentpole; the block-level pass folded in since).
 //
 // The block level (live-in/out, the paper's §2 pressure, registers read

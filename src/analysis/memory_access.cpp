@@ -208,7 +208,7 @@ MemoryAccessAnalysis analyze_memory_accesses(const ir::Kernel& k,
   }
 
   const uint64_t nblocks = uint64_t(lc.grid_x) * uint64_t(lc.grid_y);
-  if (nblocks == 0 || nblocks > opts.max_blocks) return ma;  // unproven
+  if (nblocks == 0 || nblocks > kMaxFootprintBlocks) return ma;  // unproven
 
   std::vector<Seg> stores, loads;
   bool stores_known = true;

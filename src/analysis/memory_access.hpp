@@ -33,10 +33,10 @@
 //   * TEX2D is clamp-addressed and read-only — excluded by construction.
 //
 // Per-block footprints re-run the solver once per block with %ctaid pinned
-// to that block's coordinates; grids larger than `max_blocks` leave the
-// disjointness verdicts unproven (the caller falls back to the serial
-// path).  Footprints that form an affine progression in the linear block
-// id are summarised in stride/offset form.
+// to that block's coordinates; grids larger than kMaxFootprintBlocks
+// leave the disjointness verdicts unproven (the caller falls back to the
+// serial path).  Footprints that form an affine progression in the linear
+// block id are summarised in stride/offset form.
 
 #include <cstdint>
 #include <string>
@@ -83,14 +83,15 @@ struct AffineFootprint {
   std::string to_string() const;
 };
 
+/// Cap on per-block footprint solves; grids beyond it leave the
+/// disjointness verdicts unproven.
+constexpr uint64_t kMaxFootprintBlocks = 4096;
+
 struct MemoryAccessOptions {
   /// Exact runtime parameter words of the launch (base addresses).  Null
   /// leaves params at their declared contracts — shared-memory proofs
   /// still work, global ones almost never do.
   const std::vector<uint32_t>* param_values = nullptr;
-  /// Cap on per-block footprint solves; grids beyond it leave the
-  /// disjointness verdicts unproven.
-  uint32_t max_blocks = 4096;
   /// Skip the per-block footprint solves entirely (elision-only callers).
   bool footprints = true;
 };
@@ -120,9 +121,9 @@ struct MemoryAccessAnalysis {
   AffineFootprint load_affine;
 };
 
-/// `cfg` and `df` are the kernel's cached analysis facts (as for
-/// analyze_ranges): the launch-wide solve and every per-block solve share
-/// them.
+/// `cfg` and `df` are the facts of the kernel's exec::KernelAnalysis (as
+/// for analyze_ranges): the launch-wide solve and every per-block solve
+/// share them.
 MemoryAccessAnalysis analyze_memory_accesses(
     const gpurf::ir::Kernel& k, const Cfg& cfg, const Dataflow& df,
     const gpurf::ir::LaunchConfig& lc, const MemoryAccessOptions& opts = {});

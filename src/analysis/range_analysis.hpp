@@ -79,15 +79,15 @@ struct Cfg;       // cfg.hpp
 struct Dataflow;  // dataflow.hpp
 
 /// Solve over the kernel's CFG and dataflow (pruned phis read its
-/// block-level live-in sets).  Callers pass the facts of their cached
+/// block-level live-in sets).  Callers pass the facts of the kernel's
 /// exec::KernelAnalysis, so repeated solves never rebuild them.
 RangeAnalysisResult analyze_ranges(const gpurf::ir::Kernel& k, const Cfg& cfg,
                                    const Dataflow& df,
                                    const gpurf::ir::LaunchConfig& lc,
                                    const RangeAnalysisOptions& options = {});
 
-/// The same over the calling thread's cached exec::KernelAnalysis of `k`
-/// (defined beside that cache, in exec/kernel_analysis.cpp).
+/// The same over an exec::KernelAnalysis of `k` built for this one call
+/// (defined beside KernelAnalysis, in exec/kernel_analysis.cpp).
 RangeAnalysisResult analyze_ranges(const gpurf::ir::Kernel& k,
                                    const gpurf::ir::LaunchConfig& lc);
 

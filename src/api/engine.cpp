@@ -230,7 +230,7 @@ StatusOr<const workloads::Workload*> Engine::workload(
 
 StatusOr<const workloads::PipelineResult*> Engine::pipeline_impl(
     const workloads::Workload& w, common::CancelToken* cancel) {
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   // gpurf::Error is the core's recoverable, input-dependent tier
   // (GPURF_CHECK) — e.g. a workload whose metric fails at full precision —
   // so it maps to FailedPrecondition; a cooperative stop maps to
@@ -269,7 +269,7 @@ StatusOr<const workloads::PipelineResult*> Engine::pipeline(
 
 StatusOr<workloads::PipelineResult> Engine::compute_pipeline(
     const workloads::Workload& w) {
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   workloads::PipelineOptions opt = pipelines_.options();
   opt.use_disk_cache = false;
   try {
@@ -306,7 +306,7 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
   auto pr = pipeline_impl(w, cancel);
   if (!pr.ok()) return pr.status();
 
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   try {
     if (cancel) {
       cancel->set_stage(common::JobStage::kSimulating);
@@ -379,7 +379,8 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     alloc::AllocOptions aopt;
     aopt.faults = &fm;
     const alloc::AllocationResult fa = alloc::allocate_slices(
-        w.kernel(), &(*pr)->ranges, &tune.pmap, aopt);
+        w.kernel(), w.kernel_analysis()->dataflow(), &(*pr)->ranges,
+        &tune.pmap, aopt);
 
     // Spilled f32 registers live full-width in the spill store, so the
     // interpreter must not quantize them.
@@ -468,9 +469,7 @@ Status Engine::verify_kernel(const ir::Kernel& k,
     ir::verify(k);
     if (!allow_undefined_reads) {
       // Dataflow enforcement (PR 9): surface entry-live-in registers as
-      // verification failures instead of silently reading zeros.  Computed
-      // directly (not via the analysis cache) — verification is one-shot
-      // and must not pin transient kernels in the memo.
+      // verification failures instead of silently reading zeros.
       const auto df = analysis::compute_dataflow(k, analysis::build_cfg(k));
       if (!df.undefined_uses.empty()) {
         std::string msg = std::string("verify '") + k.name +
@@ -499,12 +498,12 @@ StatusOr<analysis::KernelReport> Engine::analyze(const workloads::Workload& w) {
 
 StatusOr<analysis::KernelReport> Engine::analyze_impl(
     const ir::Kernel& k, const workloads::Workload* w) {
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   const std::string& name = w ? w->spec().name : k.name;
   try {
-    const auto ka = exec::analyze_kernel(k);
+    const exec::KernelAnalysis ka(k);
     analysis::KernelReport rep =
-        analysis::build_kernel_report(k, ka->cfg(), ka->dataflow());
+        analysis::build_kernel_report(k, ka.cfg(), ka.dataflow());
     rep.alloc_pressure = alloc::baseline_pressure(k);
     rep.live_interval_pressure = alloc::live_interval_pressure(k);
     const uint64_t shw = analysis::shared_words(k);
@@ -525,7 +524,7 @@ StatusOr<analysis::KernelReport> Engine::analyze_impl(
     analysis::MemoryAccessOptions mo;
     mo.footprints = false;
     const auto ma = analysis::analyze_memory_accesses(
-        k, ka->cfg(), ka->dataflow(), ir::LaunchConfig{}, mo);
+        k, ka.cfg(), ka.dataflow(), ir::LaunchConfig{}, mo);
     analysis::apply_memory_findings(rep, ma, analysis::prove_in_bounds(ma, 0, shw),
                                     0, shw, /*waived=*/false);
     return rep;
@@ -545,7 +544,7 @@ StatusOr<analysis::KernelReport> Engine::analyze(std::string_view name) {
 StatusOr<tuning::TuneResult> Engine::tune(const ir::Kernel& k,
                                           tuning::QualityProbe& probe,
                                           quality::QualityLevel level) {
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   tuning::TunerOptions topt = opts_.tuner;
   topt.level = level;
   topt.defer_validation = false;
@@ -953,8 +952,6 @@ MetricsSnapshot Engine::metrics_snapshot() const {
   m.disk_cache_disabled =
       pipeline_stats_.disk_cache_disabled.load(std::memory_order_relaxed) ? 1
                                                                           : 0;
-  m.analysis_cache_hits = analysis_cache_.hits();
-  m.analysis_cache_misses = analysis_cache_.misses();
   m.tuner_candidates =
       pipeline_stats_.tuner_candidates.load(std::memory_order_relaxed);
   m.tuner_candidates_doomed =

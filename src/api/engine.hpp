@@ -8,7 +8,6 @@
 // to share process-wide:
 //
 //   * a ThreadPool sized by EngineOptions::threads,
-//   * a KernelAnalysis cache (CFG / ipdom / decoded streams),
 //   * a pipeline memo + the on-disk precision-map cache directory,
 //   * its own instances of the eleven Table-4 workloads,
 //   * a GpuConfig and interpreter RunOptions for every simulation it runs.
@@ -59,7 +58,6 @@
 #include "api/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
-#include "exec/kernel_analysis.hpp"
 #include "sim/gpu.hpp"
 #include "tuning/tuner.hpp"
 #include "workloads/pipeline.hpp"
@@ -260,7 +258,7 @@ class Engine {
   Status drain(int64_t budget_ms);
 
   /// Point-in-time metrics snapshot as a JSON object: cache counters
-  /// (pipeline memo, kernel-analysis cache, disk cache), queue depth,
+  /// (pipeline memo, disk cache), queue depth,
   /// jobs by terminal state, cumulative job wall time, and per-stage
   /// latency summaries.  Embedded in every gpurfd response envelope.
   std::string metrics_json() const;
@@ -271,18 +269,6 @@ class Engine {
   MetricsSnapshot metrics_snapshot() const;
 
  private:
-  /// Bind this Engine's pool + analysis cache to the calling thread for
-  /// the duration of one public call (or one async job).
-  class Scope {
-   public:
-    explicit Scope(Engine& e)
-        : pool_(&e.pool_), cache_(&e.analysis_cache_) {}
-
-   private:
-    common::ScopedPool pool_;
-    exec::ScopedAnalysisCache cache_;
-  };
-
   /// Jobs to retain in the id registry; terminal jobs are evicted oldest-
   /// first beyond this (live jobs are never evicted).
   static constexpr size_t kMaxRetainedJobs = 1024;
@@ -315,7 +301,6 @@ class Engine {
 
   EngineOptions opts_;
   common::ThreadPool pool_;
-  exec::AnalysisCache analysis_cache_;
   workloads::PipelineStats pipeline_stats_;
   workloads::PipelineCache pipelines_;
   std::vector<std::unique_ptr<workloads::Workload>> registry_;

@@ -415,8 +415,6 @@ std::string to_json(const MetricsSnapshot& m) {
   w.field("disk_cache_stale_rejections", m.disk_cache_stale_rejections);
   w.field("disk_cache_write_failures", m.disk_cache_write_failures);
   w.field("disk_cache_disabled", m.disk_cache_disabled != 0);
-  w.field("analysis_cache_hits", m.analysis_cache_hits);
-  w.field("analysis_cache_misses", m.analysis_cache_misses);
   w.field("tuner_candidates", m.tuner_candidates);
   w.field("tuner_candidates_doomed", m.tuner_candidates_doomed);
   w.field("queue_depth", m.queue_depth);

@@ -5,11 +5,10 @@
 // Plain atomic counters, bumped on the hot paths with relaxed ordering and
 // read without synchronisation: a snapshot is a set of independently-read
 // monotone counters, not a consistent cut — exactly what scrape-style
-// monitoring needs.  The cache-layer counters live with their caches
-// (workloads::PipelineStats on the pipeline memo / disk cache,
-// exec::AnalysisCache's internal hit counters); this struct holds the
-// job-lifecycle side, and Engine::metrics_json() merges all three into the
-// snapshot every gpurfd response envelope embeds.
+// monitoring needs.  The cache-layer and tuner-probe counters live in
+// workloads::PipelineStats beside the pipeline memo and disk cache; this
+// struct holds the job-lifecycle side, and Engine::metrics_json() merges
+// both into the snapshot every gpurfd response envelope embeds.
 //
 // Only the Engine writes these (submit, the executor's run/discard paths),
 // so the struct lives by value inside the Engine; Job handles never touch
@@ -114,8 +113,6 @@ struct MetricsSnapshot {
   uint64_t disk_cache_stale_rejections = 0;
   uint64_t disk_cache_write_failures = 0;
   uint64_t disk_cache_disabled = 0;  ///< 1 once the latch has tripped
-  uint64_t analysis_cache_hits = 0;
-  uint64_t analysis_cache_misses = 0;
   // Tuner probes (workloads::PipelineStats).
   uint64_t tuner_candidates = 0;
   uint64_t tuner_candidates_doomed = 0;  ///< never replayed or abandoned

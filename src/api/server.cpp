@@ -648,6 +648,10 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
 
 namespace {
 
+/// Connect-retry backoff: the first window and its cap.
+constexpr int kBackoffInitialMs = 25;
+constexpr int kBackoffMaxMs = 1000;
+
 /// Transient connect failures worth a retry: the daemon is starting up
 /// (socket not bound yet / nothing listening) or momentarily saturated.
 bool connect_errno_transient(int err) {
@@ -696,7 +700,7 @@ int connect_with_retry(const sockaddr_un& addr, const ClientOptions& opts,
   uint64_t jitter_state =
       static_cast<uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ULL ^
       reinterpret_cast<uintptr_t>(jitter_salt);
-  int backoff_ms = opts.backoff_initial_ms;
+  int backoff_ms = kBackoffInitialMs;
   for (int attempt = 0; attempt <= opts.retries; ++attempt) {
     const int fd = connect_once(addr, opts.connect_timeout_ms);
     if (fd >= 0) {
@@ -718,7 +722,7 @@ int connect_with_retry(const sockaddr_un& addr, const ClientOptions& opts,
         1 + static_cast<int>(gpurf::splitmix64(jitter_state) %
                              static_cast<uint64_t>(backoff_ms));
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    backoff_ms = std::min(backoff_ms * 2, opts.backoff_max_ms);
+    backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
   }
   out_status = Status::Internal(what + ": retry loop exhausted");
   return -1;

@@ -161,8 +161,6 @@ struct ClientOptions {
   int connect_timeout_ms = 2000;  ///< per-attempt connect deadline
   int read_timeout_ms = 600000;   ///< SO_RCVTIMEO/SO_SNDTIMEO; <= 0 = none
   int retries = 3;                ///< extra connect attempts after the first
-  int backoff_initial_ms = 25;    ///< first backoff window
-  int backoff_max_ms = 1000;      ///< backoff window cap
 };
 
 /// Minimal blocking client for the gpurfd protocol: connects in the

@@ -58,9 +58,10 @@ uint32_t f2u(float v) {
 BlockExec::BlockExec(ExecContext& ctx, uint32_t ctaid_x, uint32_t ctaid_y)
     : ctx_(ctx),
       k_(*ctx.kernel),
-      ka_(ctx.analysis ? ctx.analysis : analyze_kernel(k_)),
+      ka_(ctx.analysis),
       ctaid_x_(ctaid_x),
       ctaid_y_(ctaid_y) {
+  GPURF_ASSERT(ka_, "BlockExec needs ExecContext::analysis");
   const uint32_t tpb = ctx.launch.threads_per_block();
   const uint32_t nwarps = ctx.launch.warps_per_block();
   warps_.reserve(nwarps);
@@ -860,7 +861,8 @@ uint64_t run_functional(ExecContext& ctx) {
   GPURF_ASSERT(ctx.kernel && ctx.gmem, "incomplete ExecContext");
   // Hoist the static analysis out of the per-block loop: every BlockExec
   // of this launch shares one CFG/ipdom/decoded stream.
-  if (!ctx.analysis) ctx.analysis = analyze_kernel(*ctx.kernel);
+  if (!ctx.analysis)
+    ctx.analysis = std::make_shared<const KernelAnalysis>(*ctx.kernel);
   if (ctx.precision) ctx.precision->validate(ctx.kernel->num_regs());
   ctx.thread_insts = 0;
   const uint64_t nblocks = ctx.launch.num_blocks();

@@ -151,8 +151,8 @@ class BlockExec {
 
   ExecContext& ctx_;
   const gpurf::ir::Kernel& k_;
-  /// Shared immutable analysis (CFG, ipdoms, decoded instruction stream);
-  /// from ctx.analysis when provided, else the process-wide cache.
+  /// Shared immutable analysis (CFG, ipdoms, decoded instruction stream),
+  /// borrowed from ctx.analysis, which must be set.
   std::shared_ptr<const KernelAnalysis> ka_;
   uint32_t ctaid_x_, ctaid_y_;
   std::vector<WarpState> warps_;

@@ -1,8 +1,5 @@
 #include "exec/kernel_analysis.hpp"
 
-#include <mutex>
-#include <unordered_map>
-
 #include "analysis/range_analysis.hpp"
 
 namespace gpurf::exec {
@@ -75,8 +72,7 @@ LaneOp classify_lane_op(const ir::Instruction& in) {
 
 KernelAnalysis::KernelAnalysis(const ir::Kernel& k)
     : cfg_(analysis::build_cfg(k)),
-      dataflow_(analysis::compute_dataflow(k, cfg_)),
-      fingerprint_(fingerprint(k)) {
+      dataflow_(analysis::compute_dataflow(k, cfg_)) {
   decoded_.reserve(dataflow_.num_insts);
   for (uint32_t blk = 0; blk < k.blocks.size(); ++blk) {
     const auto& b = k.blocks[blk];
@@ -101,83 +97,14 @@ KernelAnalysis::KernelAnalysis(const ir::Kernel& k)
   }
 }
 
-uint64_t KernelAnalysis::fingerprint(const ir::Kernel& k) {
-  // FNV-1a over the fields that determine control flow and decoding, AND
-  // over the addresses of the instruction storage itself.  The decoded
-  // stream holds pointers into k.blocks[i].insts; a cache hit is only
-  // sound if the instructions the entry points at are the ones currently
-  // live at those addresses.  Mixing insts.data() in means a re-parsed
-  // kernel at a reused Kernel address cannot alias a stale entry: either
-  // its vectors landed elsewhere (hash differs -> rebuild) or they landed
-  // on the very same storage with the same content (pointers valid).
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(k.num_regs());
-  mix(k.blocks.size());
-  for (const auto& b : k.blocks) {
-    mix(reinterpret_cast<uintptr_t>(b.insts.data()));
-    mix(b.insts.size());
-    for (const auto& in : b.insts) {
-      mix(static_cast<uint64_t>(in.op));
-      mix(static_cast<uint64_t>(in.type));
-      mix(in.dst);
-      mix(in.target);
-      mix(in.guard);
-      mix(static_cast<uint64_t>(in.num_srcs));
-    }
-  }
-  return h;
-}
-
-std::shared_ptr<const KernelAnalysis> AnalysisCache::get(const ir::Kernel& k) {
-  const uint64_t fp = KernelAnalysis::fingerprint(k);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(&k);
-    if (it != cache_.end() && it->second.fingerprint == fp) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.analysis;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  // Build outside the lock: analyses of distinct kernels proceed in
-  // parallel, and a racing duplicate build of the same kernel is benign
-  // (last writer wins, both results are equivalent).
-  auto built = std::make_shared<const KernelAnalysis>(k);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_.size() >= kMaxEntries) cache_.clear();
-    cache_[&k] = Entry{fp, built};
-  }
-  return built;
-}
-
-size_t AnalysisCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
-AnalysisCache& default_analysis_cache() {
-  static AnalysisCache cache;
-  return cache;
-}
-
-std::shared_ptr<const KernelAnalysis> analyze_kernel(const ir::Kernel& k) {
-  AnalysisCache* cache = detail::tl_current_analysis_cache;
-  return (cache ? *cache : default_analysis_cache()).get(k);
-}
-
 }  // namespace gpurf::exec
 
 namespace gpurf::analysis {
 
 RangeAnalysisResult analyze_ranges(const ir::Kernel& k,
                                    const ir::LaunchConfig& lc) {
-  const auto ka = exec::analyze_kernel(k);
-  return analyze_ranges(k, ka->cfg(), ka->dataflow(), lc);
+  const exec::KernelAnalysis ka(k);
+  return analyze_ranges(k, ka.cfg(), ka.dataflow(), lc);
 }
 
 }  // namespace gpurf::analysis

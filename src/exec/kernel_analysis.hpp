@@ -13,19 +13,13 @@
 //     with per-instruction flags (has_dst, control class) predecoded so
 //     the dispatch loop stops chasing the opcode-info table.
 //
-// Analyses memoize in an AnalysisCache: a thread-safe map keyed by kernel
-// address and guarded by a structural fingerprint, so the rare address
-// reuse after a kernel is destroyed can never alias a stale entry.
-// Concurrent tuner probes share one immutable analysis.  Each gpurf::Engine
-// owns a private cache (bound per-thread while the Engine executes work);
-// code outside any Engine falls back to a process-wide default via
-// analyze_kernel().
+// The owner of a kernel builds its analysis (a Workload once, lazily; a
+// simulation once per launch; a functional run once for all its blocks)
+// and lends it out; concurrent tuner probes share one immutable analysis.
+// The decoded stream points into the kernel's instruction storage, so an
+// analysis is valid only while its kernel lives unmodified.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -85,7 +79,7 @@ class KernelAnalysis {
 
   /// The kernel's one liveness pass: block live-in/out, pressure and
   /// undefined reads, plus per-point live sets, dead-dst flags and linear
-  /// live intervals — computed once and cached beside the CFG, shared by
+  /// live intervals — computed once and held beside the CFG, shared by
   /// the interpreter, range analysis, memory prover, allocator and
   /// soft-error model.
   const analysis::Dataflow& dataflow() const { return dataflow_; }
@@ -99,84 +93,10 @@ class KernelAnalysis {
     return static_cast<uint32_t>(dataflow_.block_size.size());
   }
 
-  /// Structural fingerprint of a kernel: cheap, order-sensitive hash over
-  /// the instruction stream.  Used to invalidate cache entries whose
-  /// kernel address was reused by a different kernel.
-  static uint64_t fingerprint(const gpurf::ir::Kernel& k);
-
-  uint64_t source_fingerprint() const { return fingerprint_; }
-
  private:
   analysis::Cfg cfg_;
   analysis::Dataflow dataflow_;
   std::vector<DecodedInst> decoded_;
-  uint64_t fingerprint_ = 0;
 };
-
-/// Bounded, thread-safe memo of KernelAnalysis objects.  Entries are
-/// shared_ptrs, so a wholesale reset never invalidates analyses still in
-/// use; rebuilds are cheap.  One instance per Engine (session isolation);
-/// a process-wide default serves code running outside any Engine.
-class AnalysisCache {
- public:
-  /// Fetch (or build and memoize) the analysis for `k`.  The returned
-  /// object is immutable and remains valid independently of the cache.
-  std::shared_ptr<const KernelAnalysis> get(const gpurf::ir::Kernel& k);
-
-  /// Number of live entries (diagnostics / tests).
-  size_t size() const;
-
-  /// Lifetime hit/miss counters (ISSUE 4 metrics): a hit served a memoized
-  /// analysis, a miss built one.  Relaxed monotone counters, safe to read
-  /// concurrently with get().
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
- private:
-  struct Entry {
-    uint64_t fingerprint = 0;
-    std::shared_ptr<const KernelAnalysis> analysis;
-  };
-
-  /// Bound: a process that churns through many transient kernels (fuzzers,
-  /// interactive explorers) must not pin every dead kernel's analysis.
-  static constexpr size_t kMaxEntries = 1024;
-
-  mutable std::mutex mu_;
-  std::unordered_map<const gpurf::ir::Kernel*, Entry> cache_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-};
-
-namespace detail {
-/// Cache bound to the calling thread by ScopedAnalysisCache; null means
-/// "use the process-wide default".
-inline thread_local AnalysisCache* tl_current_analysis_cache = nullptr;
-}  // namespace detail
-
-/// The process-wide default cache (used outside any Engine).
-AnalysisCache& default_analysis_cache();
-
-/// RAII: bind `cache` as the calling thread's analysis cache for the scope.
-class ScopedAnalysisCache {
- public:
-  explicit ScopedAnalysisCache(AnalysisCache* cache)
-      : saved_(detail::tl_current_analysis_cache) {
-    detail::tl_current_analysis_cache = cache;
-  }
-  ~ScopedAnalysisCache() { detail::tl_current_analysis_cache = saved_; }
-
-  ScopedAnalysisCache(const ScopedAnalysisCache&) = delete;
-  ScopedAnalysisCache& operator=(const ScopedAnalysisCache&) = delete;
-
- private:
-  AnalysisCache* saved_;
-};
-
-/// Fetch (or build and memoize) the analysis for `k` from the calling
-/// thread's current cache — the Engine-bound cache when inside an Engine
-/// call, else the process-wide default.  Thread-safe; the caller should
-/// hold the shared_ptr for the duration of use.
-std::shared_ptr<const KernelAnalysis> analyze_kernel(const gpurf::ir::Kernel& k);
 
 }  // namespace gpurf::exec

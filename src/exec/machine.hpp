@@ -196,9 +196,10 @@ struct ExecContext {
   const PrecisionMap* precision = nullptr;
   const analysis::RangeAnalysisResult* range_check = nullptr;
 
-  /// Optional precomputed kernel analysis (CFG, ipdoms, decoded stream).
-  /// When unset, BlockExec fetches one from the process-wide cache; callers
-  /// that launch many blocks or probes should set it once up front.
+  /// The kernel's analysis (CFG, ipdoms, decoded stream).  run_functional
+  /// builds one when unset, shared by every block of that run; callers
+  /// that launch many runs or probes should set it once up front.  A
+  /// BlockExec constructed directly requires it.
   std::shared_ptr<const KernelAnalysis> analysis;
 
   /// Execution strategy.  use_soa selects the warp-vectorized SoA data path

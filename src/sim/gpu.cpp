@@ -922,7 +922,7 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
   ctx.textures = spec.textures;
   ctx.params = spec.params;
   ctx.precision = spec.precision;
-  ctx.analysis = exec::analyze_kernel(*spec.kernel);
+  ctx.analysis = std::make_shared<const exec::KernelAnalysis>(*spec.kernel);
 
   BlockDispatcher dispatcher(spec.launch);
   Cache l2(gpu.l2);

@@ -17,7 +17,7 @@
 //    architectural register (if any) owns each (physical register, slice)
 //    site under the active allocation, how many payload bits each
 //    register occupies, and per-(block, instruction) live-register sets
-//    borrowed from the instruction-granular dataflow pass cached in the
+//    borrowed from the instruction-granular dataflow pass held in the
 //    KernelAnalysis (src/analysis/dataflow.*, PR 9) — the same per-point
 //    facts the interpreter's dead-write elision and the allocator's
 //    live-range packing consume.  It also implements the corruption

@@ -13,6 +13,9 @@ using gpurf::exec::PrecisionMap;
 using gpurf::fp::FloatFormat;
 using gpurf::fp::table3_formats;
 
+/// Fixpoint iteration bound of the greedy descent over all registers.
+constexpr int kMaxPasses = 4;
+
 std::vector<double> QualityProbe::evaluate_batch(
     const std::vector<const exec::PrecisionMap*>& pmaps) {
   std::vector<double> scores(pmaps.size(), 0.0);
@@ -44,8 +47,8 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
   // program.  Those with more static reads and writes are tuned first so
   // that high-traffic values settle before low-traffic ones refine around
   // them (the TACO'17 heuristic orders by estimated impact).
-  const auto ka = exec::analyze_kernel(k);
-  const auto& df = ka->dataflow();
+  const exec::KernelAnalysis ka(k);
+  const auto& df = ka.dataflow();
   const auto uses = [&](uint32_t r) {
     return df.use_count[r] + df.def_count[r];
   };
@@ -90,7 +93,7 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
                          << "' fails the quality threshold at full "
                             "precision; the metric or reference is broken");
 
-  for (int pass = 0; pass < opt.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool changed = false;
     if (opt.cancel)
       opt.cancel->tuner_pass.store(pass + 1, std::memory_order_relaxed);

@@ -65,7 +65,6 @@ class QualityProbe {
 
 struct TunerOptions {
   quality::QualityLevel level = quality::QualityLevel::kPerfect;
-  int max_passes = 4;   ///< fixpoint iteration bound over all registers
   /// Speculative batch width of the greedy descent.  1 = the original
   /// serial loop.  K > 1 hands the next K candidates of the optimistic
   /// all-accept path to QualityProbe::accept_prefix as one chain and

@@ -389,20 +389,21 @@ PipelineResult compute_pipeline(const Workload& w,
   AllocOptions none{false, false}, ints{true, false}, floats{false, true},
       both{true, true};
 
+  const auto& df = ka.dataflow();
   pr.pressure.original =
-      allocate_slices(k, nullptr, nullptr, none).num_physical_regs;
+      allocate_slices(k, df, nullptr, nullptr, none).num_physical_regs;
   pr.pressure.narrow_int =
-      allocate_slices(k, &pr.ranges, nullptr, ints).num_physical_regs;
+      allocate_slices(k, df, &pr.ranges, nullptr, ints).num_physical_regs;
   pr.pressure.narrow_float_perfect =
-      allocate_slices(k, nullptr, &pr.tune_perfect.pmap, floats)
+      allocate_slices(k, df, nullptr, &pr.tune_perfect.pmap, floats)
           .num_physical_regs;
   pr.pressure.narrow_float_high =
-      allocate_slices(k, nullptr, &pr.tune_high.pmap, floats)
+      allocate_slices(k, df, nullptr, &pr.tune_high.pmap, floats)
           .num_physical_regs;
   pr.alloc_both_perfect =
-      allocate_slices(k, &pr.ranges, &pr.tune_perfect.pmap, both);
+      allocate_slices(k, df, &pr.ranges, &pr.tune_perfect.pmap, both);
   pr.alloc_both_high =
-      allocate_slices(k, &pr.ranges, &pr.tune_high.pmap, both);
+      allocate_slices(k, df, &pr.ranges, &pr.tune_high.pmap, both);
   pr.pressure.both_perfect = pr.alloc_both_perfect.num_physical_regs;
   pr.pressure.both_high = pr.alloc_both_high.num_physical_regs;
   return pr;

@@ -171,10 +171,9 @@ class PipelineCache {
 // fingerprint, and loading rejects any mismatch with a non-OK Status
 // instead of silently reinterpreting stale bits.
 
-/// Stable content fingerprint of a kernel (FNV-1a over its printed text) —
-/// unlike exec::KernelAnalysis::fingerprint it contains no addresses and no
-/// implementation-defined hashing, so it is comparable across processes,
-/// builds and standard libraries.
+/// Stable content fingerprint of a kernel (FNV-1a over its printed text):
+/// it contains no addresses and no implementation-defined hashing, so it
+/// is comparable across processes, builds and standard libraries.
 uint64_t kernel_cache_fingerprint(const Workload& w);
 
 /// Path of the workload's cache entry inside `dir`.

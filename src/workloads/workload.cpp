@@ -48,7 +48,7 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
 
   const bool grid_over_cap =
       uint64_t(inst.launch.grid_x) * inst.launch.grid_y >
-      analysis::MemoryAccessOptions{}.max_blocks;
+      analysis::kMaxFootprintBlocks;
   {
     std::lock_guard<std::mutex> lock(mem_mu_);
     auto it = mem_cache_.find(key);
@@ -87,8 +87,9 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
 
 const std::shared_ptr<const gpurf::exec::KernelAnalysis>&
 Workload::kernel_analysis() const {
-  std::call_once(analysis_once_,
-                 [&] { analysis_ = gpurf::exec::analyze_kernel(kernel_); });
+  std::call_once(analysis_once_, [&] {
+    analysis_ = std::make_shared<const gpurf::exec::KernelAnalysis>(kernel_);
+  });
   return analysis_;
 }
 

@@ -134,9 +134,9 @@ class Workload {
   std::shared_ptr<const MemProofs> mem_proofs(const Instance& inst,
                                               bool footprints = true) const;
 
-  /// The kernel's analysis (CFG, dataflow, decoded stream), fetched from
-  /// the calling thread's cache on first use and shared by every run,
-  /// memory proof and pipeline stage of this workload.
+  /// The kernel's analysis (CFG, dataflow, decoded stream), built on first
+  /// use and shared by every run, memory proof and pipeline stage of this
+  /// workload.
   const std::shared_ptr<const gpurf::exec::KernelAnalysis>& kernel_analysis()
       const;
 

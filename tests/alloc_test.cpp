@@ -128,8 +128,9 @@ TEST_P(WorkloadAllocation, InvariantsHold) {
   EXPECT_LE(res.num_physical_regs, 256u);
 
   // 2. No two *interfering* registers share a physical slice.
-  const auto adj = analysis::build_interference(
-      k, exec::analyze_kernel(k)->dataflow(), /*live_intervals=*/false);
+  const exec::KernelAnalysis ka(k);
+  const auto adj = analysis::build_interference(k, ka.dataflow(),
+                                                /*live_intervals=*/false);
   for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1) {
     if (!res.table[r1].valid) continue;
     for (uint32_t r2 = r1 + 1; r2 < k.num_regs(); ++r2) {
@@ -217,8 +218,9 @@ TEST(LiveIntervals, AllocationRespectsRefinedInterference) {
     EXPECT_LE(res.num_physical_regs, live_interval_pressure(k))
         << w->spec().name;
 
-    const auto adj = analysis::build_interference(
-        k, exec::analyze_kernel(k)->dataflow(), /*live_intervals=*/true);
+    const exec::KernelAnalysis ka(k);
+    const auto adj = analysis::build_interference(k, ka.dataflow(),
+                                                  /*live_intervals=*/true);
     auto overlap = [](const SliceLoc& a, const SliceLoc& b) {
       return a.phys_reg == b.phys_reg && (a.mask & b.mask) != 0;
     };

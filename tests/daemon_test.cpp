@@ -481,8 +481,6 @@ TEST(Daemon, ShutdownUnderConcurrentClients) {
 TEST(ClientRetry, NoDaemonSurfacesUnavailableAfterBoundedRetries) {
   api::ClientOptions copts;
   copts.retries = 2;
-  copts.backoff_initial_ms = 5;
-  copts.backoff_max_ms = 10;
   copts.connect_timeout_ms = 200;
   const auto t0 = std::chrono::steady_clock::now();
   api::Client client("./gpurfd_nobody_home.sock", copts);
@@ -490,7 +488,8 @@ TEST(ClientRetry, NoDaemonSurfacesUnavailableAfterBoundedRetries) {
   ASSERT_FALSE(client.status().ok());
   EXPECT_EQ(client.status().code(), StatusCode::kUnavailable)
       << client.status().to_string();
-  // Bounded: 3 attempts with <= 10ms backoff each, not an endless loop.
+  // Bounded: 3 attempts with two jittered backoffs (<= 25 ms, then
+  // <= 50 ms), not an endless loop.
   EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 2.0);
   // A call on a never-connected client reports the connect failure.
   auto resp = client.call(R"({"op":"ping"})");
@@ -509,8 +508,6 @@ TEST(ClientRetry, RetriesUntilLateStartingServerAppears) {
   });
   api::ClientOptions copts;
   copts.retries = 20;
-  copts.backoff_initial_ms = 10;
-  copts.backoff_max_ms = 50;
   api::Client client(sock, copts);
   starter.join();
   ASSERT_TRUE(client.status().ok()) << client.status().to_string();

@@ -14,9 +14,13 @@
 #include <fstream>
 #include <functional>
 #include <thread>
+#include <tuple>
 
+#include "alloc/slice_alloc.hpp"
 #include "api/engine.hpp"
 #include "api/json.hpp"
+#include "exec/interp.hpp"
+#include "ir/parser.hpp"
 #include "testing_util.hpp"
 #include "workloads/pipeline.hpp"
 #include "workloads/workload.hpp"
@@ -340,6 +344,67 @@ entry:
 
   // The JSON snapshot of a report is well-formed.
   EXPECT_TRUE(api::parse_json(api::to_json(*bad_rep)).ok());
+}
+
+TEST(Engine, ReusedKernelObjectFollowsItsNewText) {
+  // A kernel variable re-parsed in place may get its new instruction
+  // storage at the old addresses.  The lint report, functional replay and
+  // allocation must all describe the new text, exactly as for a kernel
+  // parsed into a fresh object.
+  constexpr std::string_view kOne = R"(
+.kernel reuse
+.param s32 out
+.reg s32 %x
+.reg s32 %a
+entry:
+  mov.s32 %x, %tid.x
+  add.s32 %a, %x, $out
+  st.global.s32 [%a], %x
+  ret
+)";
+  constexpr std::string_view kTwo = R"(
+.kernel reuse
+.param s32 out
+.reg s32 %x
+.reg s32 %y
+.reg s32 %z
+.reg s32 %a
+entry:
+  mov.s32 %x, %tid.x
+  mul.s32 %y, %x, 3
+  add.s32 %z, %y, %x
+  add.s32 %a, %x, $out
+  st.global.s32 [%a], %z
+  st.global.s32 [%a+32], %y
+  ret
+)";
+  Engine engine(EngineOptions().with_threads(2).with_disk_cache(false));
+  const auto observe = [&](const ir::Kernel& k) {
+    auto rep = engine.analyze(k);
+    EXPECT_TRUE(rep.ok()) << rep.status().to_string();
+    exec::GlobalMemory gmem;
+    const uint32_t out = gmem.alloc(64);
+    exec::ExecContext ctx;
+    ctx.kernel = &k;
+    ctx.launch = ir::LaunchConfig{1, 1, 32, 1};
+    ctx.gmem = &gmem;
+    ctx.params = {out};
+    exec::run_functional(ctx);
+    const auto words = gmem.view(out, 64);
+    return std::tuple(
+        rep.ok() ? api::to_json(*rep) : std::string(),
+        std::vector<uint32_t>(words.begin(), words.end()),
+        alloc::allocate_slices(k, nullptr, nullptr, {false, false}));
+  };
+  ir::Kernel k = ir::parse_kernel(kOne);
+  const auto one = observe(k);
+  k = ir::parse_kernel(kTwo);
+  const auto two = observe(k);
+  EXPECT_TRUE(two == observe(ir::parse_kernel(kTwo)));
+  EXPECT_NE(std::get<0>(one), std::get<0>(two));
+  EXPECT_NE(std::get<1>(one), std::get<1>(two));
+  EXPECT_NE(std::get<2>(one).num_physical_regs,
+            std::get<2>(two).num_physical_regs);
 }
 
 // -------------------------------------------------------------- async API

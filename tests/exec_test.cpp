@@ -329,6 +329,7 @@ entry:
           LaunchConfig{1, 1, 32, 1}, {});
   const uint32_t base = rig.gmem.alloc(64);
   rig.ctx.params = {base};
+  rig.ctx.analysis = std::make_shared<const KernelAnalysis>(rig.k);
   BlockExec be(rig.ctx, 0, 0);
   StepResult r;
   do {

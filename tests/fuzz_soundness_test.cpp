@@ -301,8 +301,9 @@ TEST_P(FuzzSoundness, SliceAllocationValid) {
   const auto res = alloc::allocate_slices(k, &ranges, nullptr, opt);
   EXPECT_LE(res.num_physical_regs, alloc::baseline_pressure(k));
 
-  const auto adj = analysis::build_interference(
-      k, exec::analyze_kernel(k)->dataflow(), /*live_intervals=*/false);
+  const exec::KernelAnalysis ka(k);
+  const auto adj = analysis::build_interference(k, ka.dataflow(),
+                                                /*live_intervals=*/false);
   for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1) {
     if (!res.table[r1].valid) continue;
     const int covered = std::popcount(res.table[r1].r0.mask) +
@@ -586,9 +587,9 @@ TEST_P(FuzzMemProofs, StaticFootprintsCoverDynamicStores) {
   const std::vector<uint32_t> params{out};
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ka = exec::analyze_kernel(k);
-  const auto ma = analysis::analyze_memory_accesses(k, ka->cfg(),
-                                                    ka->dataflow(), lc, mo);
+  const exec::KernelAnalysis ka(k);
+  const auto ma =
+      analysis::analyze_memory_accesses(k, ka.cfg(), ka.dataflow(), lc, mo);
   ASSERT_TRUE(ma.footprints_computed) << text;
   ASSERT_EQ(ma.store_hull.size(), kMemGrid);
 
@@ -615,9 +616,9 @@ TEST_P(FuzzMemProofs, OverlapProverSoundVsWriteLog) {
   const std::vector<uint32_t> params{out};
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ka = exec::analyze_kernel(k);
-  const auto ma = analysis::analyze_memory_accesses(k, ka->cfg(),
-                                                    ka->dataflow(), lc, mo);
+  const exec::KernelAnalysis ka(k);
+  const auto ma =
+      analysis::analyze_memory_accesses(k, ka.cfg(), ka.dataflow(), lc, mo);
   if (!ma.stores_disjoint) return;  // overlap claimed: nothing to refute
 
   const auto dyn = per_block_store_sets(text);  // each set is ascending
@@ -647,9 +648,9 @@ TEST_P(FuzzMemProofs, ElidedBoundsChecksNeverObservable) {
   const std::vector<uint32_t> params{out};
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ka = exec::analyze_kernel(k);
-  const auto ma = analysis::analyze_memory_accesses(k, ka->cfg(),
-                                                    ka->dataflow(), lc, mo);
+  const exec::KernelAnalysis ka(k);
+  const auto ma =
+      analysis::analyze_memory_accesses(k, ka.cfg(), ka.dataflow(), lc, mo);
   const auto proven =
       analysis::prove_in_bounds(ma, kMemWords, analysis::shared_words(k));
   // Every seed's straight-line affine stores must be provable — coverage

@@ -339,10 +339,10 @@ TEST(Engine, MetricsJsonCountsCacheTrafficAndJobs) {
   };
   EXPECT_EQ(counter("pipeline_memo_misses"), 1);
   EXPECT_GE(counter("pipeline_memo_hits"), 1);
-  // The workload memoizes its own analysis handle after the first run, so
-  // a pipeline-only session records (at least) the build as a miss; hits
-  // come from simulate paths re-requesting the shared analysis.
-  EXPECT_GE(counter("analysis_cache_misses"), 1);
+  // Kernel analyses are built by whoever owns the kernel and are not
+  // memoized per Engine, so the snapshot has no counters for them.
+  for (const auto& [key, value] : parsed->members)
+    EXPECT_NE(key.rfind("analysis_cache", 0), 0u) << key;
   EXPECT_EQ(counter("jobs_submitted"), 1);
   EXPECT_EQ(counter("jobs_done"), 1);
   EXPECT_EQ(counter("jobs_failed"), 0);

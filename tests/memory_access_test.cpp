@@ -42,9 +42,8 @@ analysis::MemoryAccessAnalysis analyze(const ir::Kernel& k,
                                        const std::vector<uint32_t>& params) {
   analysis::MemoryAccessOptions mo;
   mo.param_values = &params;
-  const auto ka = exec::analyze_kernel(k);
-  return analysis::analyze_memory_accesses(k, ka->cfg(), ka->dataflow(), lc,
-                                           mo);
+  const exec::KernelAnalysis ka(k);
+  return analysis::analyze_memory_accesses(k, ka.cfg(), ka.dataflow(), lc, mo);
 }
 
 TEST(MemoryAccess, AffineKernelFullyProvenAndDisjoint) {
