@@ -423,6 +423,46 @@ entry:
   }
 }
 
+TEST(Simulate, StallClassPrecedence) {
+  // One scheduler, one collector unit, two warps.  While one warp's mov
+  // holds the only collector unit, the other warp's first instruction
+  // finds no free unit; so does the first warp's independent second mov
+  // (a no-free-unit stall), while its add waits on the first mov.  A
+  // cycle in which one warp fails the scoreboard and another finds no
+  // free collector unit counts as a scoreboard stall.
+  constexpr std::string_view kPair = R"(
+.kernel precedence
+.param s32 base
+.reg s32 %t
+.reg s32 %a
+.reg s32 %r
+.reg s32 %s
+.reg s32 %u
+entry:
+  mov.s32 %t, %tid.x
+  mov.s32 %u, 1
+  add.s32 %a, %t, $base
+  ld.global.s32 %r, [%a]
+  add.s32 %s, %r, %u
+  add.s32 %s, %s, %t
+  st.global.s32 [%a], %s
+  ret
+)";
+  SimRig rig(kPair, LaunchConfig{1, 1, 64, 1});
+  const uint32_t base = rig.gmem.alloc(64);
+  rig.spec.params = {base};
+  rig.spec.regs_per_thread = 8;
+  GpuConfig g = GpuConfig::fermi_gtx480();
+  g.collector_units = 1;
+  g.warp_schedulers = 1;
+  const auto res = simulate(g, CompressionConfig::baseline(), rig.spec);
+  EXPECT_EQ(res.stats.cycles, 432u);
+  EXPECT_EQ(res.stats.warp_insts, 16u);
+  EXPECT_EQ(res.stats.stall_scoreboard, 415u);
+  EXPECT_EQ(res.stats.stall_no_cu, 1u);
+  for (uint32_t i = 0; i < 64; ++i) EXPECT_EQ(rig.gmem.read(base + i), i + 1);
+}
+
 TEST(Simulate, ZeroThreadBlockShapeIsRejected) {
   SimRig rig(kRetOnly, LaunchConfig{1, 1, 0, 1});
   rig.spec.regs_per_thread = 4;
@@ -841,7 +881,8 @@ SimResult simulate_original_pressure(const std::string& workload,
 TEST(SimGolden, OriginalPressureLaunches) {
   // No tuning: the launch runs at the original register pressure, under
   // both the baseline pipeline and the compressed pipeline's extra stages
-  // (no allocation).  Hotspot covers barrier stalls, GICOV texture traffic.
+  // (no allocation).  Hotspot covers barrier stalls, GICOV texture traffic,
+  // Hybridsort no-free-collector-unit stalls and CFD a busy LD/ST unit.
   struct Case {
     const char* workload;
     bool compressed;
@@ -854,6 +895,10 @@ TEST(SimGolden, OriginalPressureLaunches) {
       {"Hotspot", true, "0x8c77bc6cf41793b5"},
       {"GICOV", false, "0xec545061fe164cd7"},
       {"GICOV", true, "0x988a335137a17e0e"},
+      {"CFD", false, "0xf86a768ae2d1eddb"},
+      {"CFD", true, "0x573208d2fae1f429"},
+      {"Hybridsort", false, "0x50cb03e9c72c3c06"},
+      {"Hybridsort", true, "0x756fb3a1798bec93"},
   };
   for (const Case& c : cases)
     expect_golden(
