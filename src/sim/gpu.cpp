@@ -104,7 +104,6 @@ struct CuEntry {
   int warp = kNoIndex;
   const SimInst* si = nullptr;  ///< timing facts of the held instruction
   uint64_t active_from = 0;  ///< fetch requests visible from this cycle
-  uint64_t alloc_cycle = 0;  ///< age for arbitration
   std::array<FetchReq, kMaxFetches> fetches{};
   uint8_t num_fetches = 0;
   uint8_t unserved = 0;      ///< fetches not yet granted a bank read port
@@ -146,14 +145,14 @@ struct BlockCtx {
 };
 
 /// Per-warp-slot state; the active / at-barrier / scoreboard-wait flags
-/// live in SmCore's warp masks, indexed by the same slot.
+/// and the issue bits of the next instruction live in SmCore's warp masks,
+/// indexed by the same slot.
 struct WarpCtx {
   int block = kNoIndex;          ///< index into SmCore::blocks_
   uint32_t warp_in_block = 0;
   uint32_t gwarp = 0;            ///< bank-hash id; equals the warps_ index
   /// Timing facts of the instruction the warp executes next (null once
-  /// it is done).  Only the warp's own step moves it, so the issue stage
-  /// re-reads it after each step, not on every attempt.
+  /// it is done).  Only the warp's own step moves it.
   const SimInst* next = nullptr;
   std::vector<uint8_t> pending;  ///< scoreboard flags per register
 };
@@ -240,9 +239,12 @@ class SmCore {
   /// Returns whether it stopped on such an event.
   bool advance(uint64_t end) {
     while (next_cycle_ < end) {
+      if (next_cycle_ < frozen_until_) {
+        fast_forward(std::min(end, frozen_until_));
+        continue;
+      }
       tick(next_cycle_++);
       if (event_) return true;
-      skip_quiet(end);
     }
     return false;
   }
@@ -318,6 +320,7 @@ class SmCore {
         const uint64_t wb_extra = cc_.enabled ? cc_.writeback_delay : 0;
         wb_.push(WriteBack{p.issued_at + worst + p.extra + wb_extra, p.warp,
                            p.reg});
+        frozen_until_ = 0;  // the new writeback may land inside the freeze
       }
     }
     if (committed_ == pending_.size()) {
@@ -333,6 +336,7 @@ class SmCore {
   /// number and the SM index.  Settles the owed refill (has_event()).
   void fill_blocks(BlockDispatcher& dispatcher) {
     event_ = false;
+    frozen_until_ = 0;
     const uint32_t wpb = warps_per_block();
     for (uint32_t slot = 0;
          live_blocks_ < blocks_.size() && !dispatcher.empty(); ++slot) {
@@ -353,6 +357,7 @@ class SmCore {
         wc.block = static_cast<int>(slot);
         wc.next = next_inst(wc);
         std::fill(wc.pending.begin(), wc.pending.end(), 0);
+        refresh_issue_bits(int(slot * wpb + w));
       }
     }
   }
@@ -376,31 +381,52 @@ class SmCore {
   /// Everything an SM does in one cycle; touches only SM-private state.
   /// L2-bound memory dispatches are buffered (see PendingL2) instead of
   /// probing the shared L2, and block refill happens between ticks
-  /// (fill_blocks()).
+  /// (fill_blocks()).  A tick that changes nothing freezes the SM until
+  /// its next timed event (see fast_forward()).
   void tick(uint64_t now) {
     if (soft_model_) accumulate_exposure();
+    moved_ = false;
     retire_writebacks(now);
     dispatch_ready(now);
     arbitrate_banks(now);
     run_converters(now);
     issue(now);
+    // Soft-error runs tick every cycle for the exposure integral.
+    frozen_until_ = moved_ || soft_model_ ? 0 : next_timed_event(now);
   }
 
-  /// Fast-forward over quiet cycles before `end`: no collector unit holds
-  /// an instruction and every resident warp is parked at a barrier or
-  /// waiting on the scoreboard, so until the next writeback retires each
-  /// tick would only record the same stalls.  Writebacks that land before
-  /// `end` are all in wb_ already (the window bound; see simulate()).
-  /// Soft-error runs tick every cycle for the exposure integral.
-  void skip_quiet(uint64_t end) {
-    if (soft_model_ || cu_valid_ != 0 || (active_ & ~at_barrier_ & ~sb_wait_))
-      return;
-    const uint64_t until =
-        wb_.empty() ? end : std::min(end, wb_.top().cycle);
-    if (until <= next_cycle_) return;
+  /// The first cycle after `now` at which a tick that changed nothing can
+  /// act differently: a writeback retires, a collecting unit's fetches
+  /// become visible, or the LD/ST or SFU unit a ready unit waits on frees.
+  /// Until then every tick repeats the frozen one: nothing issues, since
+  /// the issue bits and warp masks are unchanged, and no unit moves.
+  uint64_t next_timed_event(uint64_t now) const {
+    uint64_t t = wb_.empty() ? UINT64_MAX : wb_.top().cycle;
+    for (int k = 0; k < num_ordered_; ++k) {
+      const int c = cu_order_[k];
+      const CuEntry& cu = cus_[c];
+      if (!(cu_ready_ & bit(c))) {
+        // A visible unit that moved nothing waits on a conversion budget
+        // of zero, which no cycle changes.
+        if (cu.active_from > now) t = std::min(t, cu.active_from);
+      } else if (cu.si->unit == UnitClass::LDST) {
+        t = std::min(t, ldst_free_);
+      } else if (cu.si->unit == UnitClass::SFU) {
+        t = std::min(t, sfu_free_);
+      } else {
+        t = 0;  // SPU-bound units dispatch every cycle: no freeze
+      }
+    }
+    return t;
+  }
+
+  /// Skip the ticks before `until` of an SM frozen since its last tick:
+  /// each would record the frozen tick's stalls again.  Writebacks that
+  /// land before the window end are all in wb_ already (the window bound;
+  /// see simulate()), and commit_memory() and fill_blocks() end a freeze.
+  void fast_forward(uint64_t until) {
     for (uint32_t s = 0; s < g_.warp_schedulers; ++s)
-      stall_counter(active_ & sched_mask_[s], false) += until - next_cycle_;
-    greedy_warp_.fill(kNoIndex);
+      *stall_of_[s] += until - next_cycle_;
     next_cycle_ = until;
   }
 
@@ -435,6 +461,9 @@ class SmCore {
       wb_.pop();
       warps_[w.warp].pending[w.reg] = 0;
       sb_wait_ &= ~bit(w.warp);
+      // Clearing a flag cannot block a scoreboard-clear instruction.
+      if (!(sb_clear_ & bit(w.warp))) refresh_issue_bits(w.warp);
+      moved_ = true;
     }
   }
 
@@ -447,46 +476,48 @@ class SmCore {
   void dispatch_ready(uint64_t now) {
     spu_used_ = 0;  // both SPUs accept one instruction per cycle
     if (cu_ready_ == 0) return;
-    // Dispatch ready collector units oldest first; the CU index breaks
-    // ties, so equal ages go in index order.
-    int nready = 0;
-    for_each_bit(cu_ready_, [&](int c) {
-      ready_[nready++] = {cus_[c].alloc_cycle, c};
-    });
-    std::sort(ready_.begin(), ready_.begin() + nready);
-    for (int k = 0; k < nready; ++k) {
-      const int c = ready_[k].second;
-      CuEntry& cu = cus_[c];
-      const SimInst& si = *cu.si;
-      uint64_t done_at = 0;
-      if (si.unit == UnitClass::LDST) {
-        if (now < ldst_free_) continue;
-        const MemAccess ma = memory_access(now, cu);
-        ldst_free_ = now + ma.transactions;
-        if (ma.deferred) {
-          // L2-dependent latency: the writeback (if any) is scheduled by
-          // commit_memory() in the serial phase, once the buffered L2
-          // probes have resolved hit/miss in (cycle, SM) order.
-          release_cu(c);
-          continue;
-        }
-        done_at = now + ma.latency;
-      } else if (si.unit == UnitClass::SFU) {
-        if (now < sfu_free_) continue;
-        sfu_free_ = now + g_.sfu_initiation;
-        done_at = now + si.latency;
-      } else {
-        if (spu_used_ >= 2) continue;  // two single-precision units
-        ++spu_used_;
-        done_at = now + si.latency;
-      }
-
-      if (si.has_dst) {
-        const uint64_t wb_extra = cc_.enabled ? cc_.writeback_delay : 0;
-        wb_.push(WriteBack{done_at + wb_extra, cu.warp, si.dst});
-      }
-      release_cu(c);
+    // Dispatch ready collector units oldest first, in allocation order;
+    // the units released drop out of cu_order_.
+    int kept = 0;
+    for (int k = 0; k < num_ordered_; ++k) {
+      const int c = cu_order_[k];
+      if (!(cu_ready_ & bit(c)) || !dispatch(now, c)) cu_order_[kept++] = c;
     }
+    num_ordered_ = kept;
+  }
+
+  /// Send ready collector unit `c` to its execution unit and release it;
+  /// false when that unit is busy this cycle.
+  bool dispatch(uint64_t now, int c) {
+    const CuEntry& cu = cus_[c];
+    const SimInst& si = *cu.si;
+    bool writes_back = si.has_dst;
+    uint64_t done_at = 0;
+    if (si.unit == UnitClass::LDST) {
+      if (now < ldst_free_) return false;
+      const MemAccess ma = memory_access(now, cu);
+      ldst_free_ = now + ma.transactions;
+      // L2-dependent latency: the writeback (if any) is scheduled by
+      // commit_memory() in the serial phase, once the buffered L2 probes
+      // have resolved hit/miss in (cycle, SM) order.
+      if (ma.deferred) writes_back = false;
+      done_at = now + ma.latency;
+    } else if (si.unit == UnitClass::SFU) {
+      if (now < sfu_free_) return false;
+      sfu_free_ = now + g_.sfu_initiation;
+      done_at = now + si.latency;
+    } else {
+      if (spu_used_ >= 2) return false;  // two single-precision units
+      ++spu_used_;
+      done_at = now + si.latency;
+    }
+    if (writes_back) {
+      const uint64_t wb_extra = cc_.enabled ? cc_.writeback_delay : 0;
+      wb_.push(WriteBack{done_at + wb_extra, cu.warp, si.dst});
+    }
+    release_cu(c);
+    moved_ = true;
+    return true;
   }
 
   // ------------------------------------------------------- bank arbitration
@@ -494,24 +525,26 @@ class SmCore {
     const uint64_t collecting = cu_valid_ & ~cu_ready_;
     if (collecting == 0) return;
     // One read port per bank: serve the oldest pending request per bank.
-    // One pass over the CUs in index order; the strict < keeps the lowest
-    // CU index among equal ages, and a CU's later fetch to a bank never
-    // displaces its own earlier one.  grant_ is all-empty between ticks:
-    // the banks requested this tick are listed in touched_, and only those
-    // entries are granted and reset (each grant serves a distinct fetch,
-    // so the order they apply in does not matter).
+    // The walk goes in allocation order, so the first request a bank sees
+    // is its oldest, and a CU's later fetch to a bank never displaces its
+    // own earlier one.  grant_ is all-empty between ticks: the banks
+    // requested this tick are listed in touched_, and only those entries
+    // are granted and reset (each grant serves a distinct fetch, so the
+    // order they apply in does not matter).
     int ntouched = 0;
-    for_each_bit(collecting, [&](int c) {
+    for (int k = 0; k < num_ordered_; ++k) {
+      const int c = cu_order_[k];
       const CuEntry& cu = cus_[c];
-      if (cu.active_from > now || cu.fetches_done()) return;
+      if (!(collecting & bit(c)) || cu.active_from > now || cu.fetches_done())
+        continue;
       for (int f = 0; f < cu.num_fetches; ++f) {
         if (cu.fetches[f].served) continue;
         BankGrant& g = grant_[cu.fetches[f].bank];
-        if (g.cu == kNoIndex) touched_[ntouched++] = cu.fetches[f].bank;
-        if (g.cu == kNoIndex || cu.alloc_cycle < cus_[g.cu].alloc_cycle)
-          g = BankGrant{c, f};
+        if (g.cu != kNoIndex) continue;
+        touched_[ntouched++] = cu.fetches[f].bank;
+        g = BankGrant{c, f};
       }
-    });
+    }
     for (int t = 0; t < ntouched; ++t) {
       BankGrant& g = grant_[touched_[t]];
       CuEntry& cu = cus_[g.cu];
@@ -520,12 +553,15 @@ class SmCore {
       ++stats_.operand_fetches;
       g = BankGrant{};
     }
+    if (ntouched > 0) moved_ = true;
     // Mark CUs whose fetches completed and need no conversion.
     for_each_bit(collecting, [&](int c) {
       const CuEntry& cu = cus_[c];
       if (cu.active_from <= now && cu.fetches_done() &&
-          cu.conversions_left == 0)
+          cu.conversions_left == 0) {
         cu_ready_ |= bit(c);
+        moved_ = true;
+      }
     });
   }
 
@@ -542,6 +578,7 @@ class SmCore {
       cu.conversions_left -= take;
       budget -= take;
       stats_.conversions += take;
+      moved_ = true;
       // Converted operands become ready next cycle (one-cycle VC latency);
       // leaving the cu_ready_ bit clear until the next arbitrate pass
       // models it.
@@ -550,65 +587,64 @@ class SmCore {
 
   // ------------------------------------------------------------------ issue
   void issue(uint64_t now) {
+    const uint64_t sb_before = sb_wait_;
     const int nsched = int(g_.warp_schedulers);
     for (int sched = 0; sched < nsched; ++sched) {
       // Lowest-index free collector unit.
       const uint64_t free = ~cu_valid_ & cu_all_;
       const int free_cu = free != 0 ? std::countr_zero(free) : kNoIndex;
-      bool saw_no_cu = false;
       // GTO: greedily retry the last-issued warp first, then oldest
       // (arrival order) among this scheduler's warps that are neither
-      // parked at a barrier nor waiting on the scoreboard.
+      // parked at a barrier nor waiting on the scoreboard.  The issue bits
+      // pick the warp the walk would reach: one whose next instruction
+      // passes the scoreboard and is control flow unless a CU is free.
       int& greedy = greedy_warp_[sched];
       const uint64_t mine = active_ & sched_mask_[sched];
-      uint64_t ready = mine & ~at_barrier_ & ~sb_wait_;
-      const auto try_issue = [&](int w) {
-        WarpCtx& wc = warps_[w];
-        // Predecoded view: the warp's next instruction comes from the
-        // launch's SimInst table, so a failed attempt costs a few loads;
-        // step() below executes the instruction through the SoA warp
-        // kernels of the functional interpreter.
-        if (!wc.next) return false;
-        const SimInst& si = *wc.next;
-        if (!scoreboard_clear(wc, si)) {
-          sb_wait_ |= bit(w);
-          return false;
-        }
-        const bool is_control = si.is_control;
-        if (!is_control && free_cu == kNoIndex) {
-          saw_no_cu = true;
-          return false;
-        }
-
-        // Issue: functional execution happens now, straight into the
-        // collector unit a non-control instruction is allocated.
-        exec::StepResult control;
-        exec::StepResult& step = is_control ? control : cus_[free_cu].step;
-        blocks_[wc.block].exec->step(wc.warp_in_block, step);
-        wc.next = next_inst(wc);
-        ++stats_.warp_insts;
-        greedy = w;
-        if (is_control) {
-          handle_control(w, step);
-          if (!(active_ & ~at_barrier_ & bit(w))) greedy = kNoIndex;
-        } else {
-          allocate_cu(now, w, free_cu, si);
-        }
-        return true;
-      };
-      bool issued = false;
-      if (greedy != kNoIndex && (ready & bit(greedy))) {
-        ready &= ~bit(greedy);
-        issued = try_issue(greedy);
+      const uint64_t ready = mine & ~at_barrier_ & ~sb_wait_;
+      const uint64_t can = ready & sb_clear_ &
+                           (free_cu != kNoIndex ? ~uint64_t(0) : next_ctrl_);
+      const uint64_t first = greedy != kNoIndex ? ready & bit(greedy) : 0;
+      int w = kNoIndex;
+      uint64_t tried = ready;  // the warps the walk tries and fails
+      if (first & can) {
+        w = greedy;
+        tried = 0;
+      } else if (can != 0) {
+        w = std::countr_zero(can);
+        tried = first | (ready & (bit(w) - 1));
       }
-      for (; !issued && ready != 0; ready &= ready - 1)
-        issued = try_issue(std::countr_zero(ready));
-      if (!issued) {
+      // A tried warp failing the scoreboard waits for its next writeback.
+      sb_wait_ |= tried & has_next_ & ~sb_clear_;
+      if (w == kNoIndex) {
         // Every candidate was tried, so the masks classify the stall.
         greedy = kNoIndex;
-        ++stall_counter(mine, saw_no_cu);
+        const bool saw_no_cu =
+            free_cu == kNoIndex && (tried & sb_clear_ & ~next_ctrl_) != 0;
+        stall_of_[sched] = &stall_counter(mine, saw_no_cu);
+        ++*stall_of_[sched];
+        continue;
       }
+
+      // Issue: functional execution happens now, straight into the
+      // collector unit a non-control instruction is allocated.
+      WarpCtx& wc = warps_[w];
+      const SimInst& si = *wc.next;
+      exec::StepResult control;
+      exec::StepResult& step = si.is_control ? control : cus_[free_cu].step;
+      blocks_[wc.block].exec->step(wc.warp_in_block, step);
+      wc.next = next_inst(wc);
+      ++stats_.warp_insts;
+      greedy = w;
+      if (si.is_control) {
+        handle_control(w, step);
+        if (!(active_ & ~at_barrier_ & bit(w))) greedy = kNoIndex;
+      } else {
+        allocate_cu(now, w, free_cu, si);
+      }
+      refresh_issue_bits(w);
+      moved_ = true;
     }
+    if (sb_wait_ != sb_before) moved_ = true;
   }
 
   /// The counter a scheduler owning warps `mine` bumps when it issues
@@ -628,11 +664,22 @@ class SmCore {
     return dec ? &insts_[dec->flat] : nullptr;
   }
 
-  static bool scoreboard_clear(const WarpCtx& wc, const SimInst& si) {
+  /// Recompute warp `w`'s issue bits from its next instruction and its
+  /// scoreboard.  Only the warp's own step, its block's fill and its
+  /// writebacks change either, and each refreshes the bits.
+  void refresh_issue_bits(int w) {
+    const WarpCtx& wc = warps_[w];
+    const uint64_t b = bit(w);
+    has_next_ &= ~b;
+    next_ctrl_ &= ~b;
+    sb_clear_ &= ~b;
+    if (!wc.next) return;
+    has_next_ |= b;
+    if (wc.next->is_control) next_ctrl_ |= b;
     uint8_t pending = 0;
-    for (int i = 0; i < si.num_sb_regs; ++i)
-      pending |= wc.pending[si.sb_regs[i]];
-    return pending == 0;
+    for (int i = 0; i < wc.next->num_sb_regs; ++i)
+      pending |= wc.pending[wc.next->sb_regs[i]];
+    if (pending == 0) sb_clear_ |= b;
   }
 
   void handle_control(int w, const exec::StepResult& step) {
@@ -664,11 +711,11 @@ class SmCore {
     WarpCtx& wc = warps_[w];
     CuEntry& cu = cus_[cu_slot];
     cu_valid_ |= bit(cu_slot);
+    cu_order_[num_ordered_++] = uint8_t(cu_slot);
     cu.warp = w;
     cu.si = &si;
     cu.num_fetches = cu.unserved = 0;
     cu.conversions_left = 0;
-    cu.alloc_cycle = now;
     cu.active_from =
         now + 1 + (cc_.enabled ? cc_.indirection_read_cycles : 0);
 
@@ -834,12 +881,23 @@ class SmCore {
   uint64_t cu_valid_ = 0;
   uint64_t cu_ready_ = 0;
   uint64_t cu_all_ = 0;
+  /// The valid collector units in allocation order, which is (age, index)
+  /// order: within a tick the schedulers take the lowest free unit from a
+  /// shrinking free set, and ages rise across ticks.
+  std::array<uint8_t, GpuConfig::kMaxCollectorUnits> cu_order_;
+  int num_ordered_ = 0;
   /// Bit w = warp slot w: holds a running warp / is parked at a block
   /// barrier / failed the scoreboard and no writeback of it has retired
   /// since, so it would fail again.
   uint64_t active_ = 0;
   uint64_t at_barrier_ = 0;
   uint64_t sb_wait_ = 0;
+  /// Issue bits of warp slot w's next instruction (see
+  /// refresh_issue_bits()): it exists / is control flow / its scoreboard
+  /// registers are clear (a subset of has_next_).
+  uint64_t has_next_ = 0;
+  uint64_t next_ctrl_ = 0;
+  uint64_t sb_clear_ = 0;
   std::array<uint64_t, GpuConfig::kMaxWarpSchedulers> sched_mask_;
   std::priority_queue<WriteBack, std::vector<WriteBack>,
                       std::greater<WriteBack>>
@@ -848,18 +906,23 @@ class SmCore {
   uint64_t sfu_free_ = 0;
   uint32_t spu_used_ = 0;
   std::array<int, GpuConfig::kMaxWarpSchedulers> greedy_warp_;
+  /// The stall counter each scheduler bumped in its last stalled tick.
+  std::array<uint64_t*, GpuConfig::kMaxWarpSchedulers> stall_of_{};
+  /// Whether the current tick changed any SM state (see tick()).
+  bool moved_ = false;
+  /// The last tick changed nothing, and every tick before this cycle
+  /// would repeat it (see next_timed_event()); 0 when not frozen.
+  uint64_t frozen_until_ = 0;
 
   /// Per-tick scratch, sized by the GpuConfig bounds validate_launch_spec
-  /// enforces: the bank-arbitration winner per bank (empty between ticks),
-  /// the banks requested this tick, and the ready collector units as
-  /// (age, index) pairs.
+  /// enforces: the bank-arbitration winner per bank (empty between ticks)
+  /// and the banks requested this tick.
   struct BankGrant {
     int cu = kNoIndex;
     int fetch = 0;
   };
   std::array<BankGrant, GpuConfig::kMaxRegisterBanks> grant_;
   std::array<uint8_t, GpuConfig::kMaxRegisterBanks> touched_;
-  std::array<std::pair<uint64_t, int>, GpuConfig::kMaxCollectorUnits> ready_;
 };
 
 }  // namespace

@@ -32,10 +32,15 @@
 // the event's cycle — and replays the window's buffered L2 probes in
 // (cycle, SM) order.  Every L2-dependent writeback lands at least W cycles
 // after its issue, so it is scheduled before any tick that could see it.
-// For the same reason an SM inside a window whose warps all wait on the
-// scoreboard or a barrier, with no collector unit in use, jumps to its
-// next writeback and records the stalls of the cycles it skipped.
-// Serial runs and soft-flip runs take W = 1.  The shards run on the
+// A tick that changes no SM state (nothing issues, retires, is granted a
+// bank, converts or dispatches, and no warp newly fails the scoreboard)
+// freezes the SM: every later tick would repeat it until a timed event —
+// the next writeback, a collector unit's fetches becoming visible, or the
+// LD/ST or SFU unit a ready collector unit waits on freeing up.  The SM
+// skips to that event on either schedule and records the frozen tick's
+// stalls once per skipped cycle; a writeback scheduled by the serial
+// phase or a block refill ends the freeze, and soft-error runs tick every
+// cycle.  Serial runs and soft-flip runs take W = 1.  The shards run on the
 // current thread pool's resident workers through
 // ThreadPool::try_parallel_for; when the pool is busy (another simulation
 // or fan-out holds it) the run takes the serial schedule with identical
