@@ -43,6 +43,11 @@ struct CampaignSweep {
 
 namespace {
 
+/// Largest compressed-pipeline writeback delay a SimRequest may set.  The
+/// paper sweeps {0, 2, 4, 8} cycles (§6.3); far larger delays only stretch
+/// a run toward GpuConfig::max_cycles.
+constexpr uint32_t kMaxWritebackDelay = 64;
+
 EngineOptions resolve(EngineOptions o) {
   // Environment variables act as defaults only, consulted exactly once
   // here; after construction the Engine never touches the environment.
@@ -303,6 +308,20 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
         "fault injection on '" + w.spec().name +
         "' requires a compressed mode (faults live in the compressed "
         "register file)");
+  // A compressed config the simulator cannot finish in bounded time (no
+  // value-converter throughput, or an unbounded writeback delay) is
+  // rejected before any tuning or simulation.
+  if (req.compression && req.compression->enabled) {
+    if (req.compression->conversions_per_cycle == 0)
+      return Status::InvalidArgument(
+          "compression.conversions_per_cycle must be at least 1");
+    if (req.compression->writeback_delay > kMaxWritebackDelay)
+      return Status::InvalidArgument(
+          "writeback_delay " +
+          std::to_string(req.compression->writeback_delay) +
+          " exceeds the limit of " + std::to_string(kMaxWritebackDelay) +
+          " cycles");
+  }
   auto pr = pipeline_impl(w, cancel);
   if (!pr.ok()) return pr.status();
 

@@ -58,7 +58,9 @@ struct SimRequest {
   workloads::Scale scale = workloads::Scale::kFull;
   uint32_t variant = 0;
   /// Override the compression pipeline parameters (e.g. the §6.3
-  /// writeback-delay sweep); unset derives the config from `mode`.
+  /// writeback-delay sweep); unset derives the config from `mode`.  An
+  /// enabled override with conversions_per_cycle == 0 or a writeback delay
+  /// above 64 cycles is INVALID_ARGUMENT.
   std::optional<sim::CompressionConfig> compression;
   /// Multi-SM shard count for this simulation only: > 0 overrides the
   /// Engine's resolved EngineOptions::sim_shards (1 = serial reference

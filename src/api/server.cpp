@@ -78,9 +78,16 @@ Status parse_sim_request(const JsonValue& req, SimRequest& out) {
 
   if (const JsonValue* v = req.get("variant"))
     out.variant = static_cast<uint32_t>(v->as_int(0));
-  if (const JsonValue* d = req.get("writeback_delay"))
+  if (const JsonValue* d = req.get("writeback_delay")) {
+    // Negative delays are malformed; values too large for 32 bits saturate,
+    // and the Engine rejects any delay above its limit.
+    const int64_t delay = d->as_int(0);
+    if (delay < 0)
+      return Status::InvalidArgument("writeback_delay " +
+                                     std::to_string(delay) + " is negative");
     out.compression = sim::CompressionConfig::with_writeback_delay(
-        static_cast<uint32_t>(d->as_int(0)));
+        static_cast<uint32_t>(std::min<int64_t>(delay, UINT32_MAX)));
+  }
   if (const JsonValue* s = req.get("sim_shards"))
     out.sim_shards = static_cast<int>(s->as_int(0));
   // Permanent-fault injection (PR 6): density > 0 turns it on; the Engine

@@ -17,6 +17,8 @@
 //    "mode":"original"|"perfect"|"high","scale":"sample"|"full",
 //    "variant":N,"writeback_delay":N,"sim_shards":N,"priority":N,
 //    "deadline_ms":N,
+//    // (writeback_delay: a negative value is INVALID_ARGUMENT at submit;
+//    // the job fails INVALID_ARGUMENT, before simulating, above 64 cycles)
 //    // simulate only (PR 6 fault injection; needs a compressed mode):
 //    "fault_seed":N,"fault_density":F,"fault_quality":B,
 //    // fault_campaign only (mode defaults to "perfect" here):

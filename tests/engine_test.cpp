@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -261,6 +262,47 @@ TEST(Engine, OutOfBoundGpuConfigIsStatus) {
   EXPECT_NE(r.status().to_string().find("warp_schedulers"),
             std::string::npos)
       << r.status().to_string();
+}
+
+TEST(Engine, UnboundedCompressionKnobsAreInvalidArgument) {
+  // A compressed config with no converter throughput or a huge writeback
+  // delay would run to max_cycles; both are rejected before any tuning or
+  // simulation, for plain requests and campaign children alike.
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  const auto t0 = std::chrono::steady_clock::now();
+  SimRequest stalled;
+  stalled.scale = wl::Scale::kSample;
+  stalled.compression = sim::CompressionConfig::paper_default();
+  stalled.compression->conversions_per_cycle = 0;
+  SimRequest slow = stalled;
+  slow.compression = sim::CompressionConfig::with_writeback_delay(65);
+  for (const SimRequest* req : {&stalled, &slow}) {
+    auto r = engine.simulate("DWT2D", *req);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().to_string();
+  }
+  FaultCampaignRequest camp;
+  camp.sim = slow;
+  camp.sim.mode = wl::SimMode::kCompressedPerfect;
+  camp.densities = {0.01};
+  camp.maps_per_density = 1;
+  Job job = engine.submit(JobRequest::fault_campaign("DWT2D", camp));
+  job.wait();
+  auto cr = job.campaign_result();
+  ASSERT_TRUE(cr.ok()) << cr.status().to_string();
+  ASSERT_EQ(cr->points.size(), 1u);
+  EXPECT_NE(cr->points[0].error.find("writeback_delay"), std::string::npos)
+      << cr->points[0].error;
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            1.0);
+
+  // The paper's largest swept delay still simulates.
+  SimRequest eight = stalled;
+  eight.compression = sim::CompressionConfig::with_writeback_delay(8);
+  EXPECT_TRUE(engine.simulate("DWT2D", eight).ok());
 }
 
 /// A tuner probe that replays a workload's sample instance under a

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,35 @@ TEST(Serve, OversizedRequestRejectedAndConnectionClosed) {
   ASSERT_TRUE(pong.ok()) << pong.status().to_string();
   EXPECT_TRUE(pong->get("ok")->as_bool());
   server.stop();
+}
+
+TEST(Serve, WritebackDelayIsBounded) {
+  // A negative delay is rejected at submit; one above the Engine's limit
+  // fails the job before any tuning or simulation.
+  const auto t0 = std::chrono::steady_clock::now();
+  Engine engine(test_engine_opts());
+  api::Server server(engine, api::ServerOptions{});
+  auto neg = api::parse_json(server.handle_request_line(
+      submit_line("DWT2D", R"(,"writeback_delay":-1)")));
+  ASSERT_TRUE(neg.ok());
+  EXPECT_FALSE(neg->get("ok")->as_bool());
+  EXPECT_EQ(neg->get("error")->get("code")->as_string(), "INVALID_ARGUMENT");
+
+  auto big = api::parse_json(server.handle_request_line(
+      submit_line("DWT2D", R"(,"writeback_delay":4294967296)")));
+  ASSERT_TRUE(big.ok());
+  ASSERT_NE(big->get("job"), nullptr);
+  auto done = api::parse_json(server.handle_request_line(
+      R"({"op":"wait","job":)" + std::to_string(big->get("job")->as_int()) +
+      R"(,"timeout_ms":600000})"));
+  ASSERT_TRUE(done.ok()) << done.status().to_string();
+  EXPECT_EQ(done->get("state")->as_string(), "done");
+  EXPECT_EQ(done->get("job_error")->get("code")->as_string(),
+            "INVALID_ARGUMENT");
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            1.0);
 }
 
 TEST(Serve, LegacyTokenAndStreamFieldsAreIgnored) {
