@@ -613,8 +613,10 @@ class SmCore {
         w = std::countr_zero(can);
         tried = first | (ready & (bit(w) - 1));
       }
-      // A tried warp failing the scoreboard waits for its next writeback.
-      sb_wait_ |= tried & has_next_ & ~sb_clear_;
+      // A tried warp that is not clear failed the scoreboard (an active
+      // warp always has a next instruction: only its ret ends it) and
+      // waits for its next writeback.
+      sb_wait_ |= tried & ~sb_clear_;
       if (w == kNoIndex) {
         // Every candidate was tried, so the masks classify the stall.
         greedy = kNoIndex;
@@ -670,11 +672,9 @@ class SmCore {
   void refresh_issue_bits(int w) {
     const WarpCtx& wc = warps_[w];
     const uint64_t b = bit(w);
-    has_next_ &= ~b;
     next_ctrl_ &= ~b;
     sb_clear_ &= ~b;
     if (!wc.next) return;
-    has_next_ |= b;
     if (wc.next->is_control) next_ctrl_ |= b;
     uint8_t pending = 0;
     for (int i = 0; i < wc.next->num_sb_regs; ++i)
@@ -893,9 +893,8 @@ class SmCore {
   uint64_t at_barrier_ = 0;
   uint64_t sb_wait_ = 0;
   /// Issue bits of warp slot w's next instruction (see
-  /// refresh_issue_bits()): it exists / is control flow / its scoreboard
-  /// registers are clear (a subset of has_next_).
-  uint64_t has_next_ = 0;
+  /// refresh_issue_bits()): it is control flow / its scoreboard registers
+  /// are clear.
   uint64_t next_ctrl_ = 0;
   uint64_t sb_clear_ = 0;
   std::array<uint64_t, GpuConfig::kMaxWarpSchedulers> sched_mask_;
